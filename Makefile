@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench-smoke bench-sweep check clean
+.PHONY: all build test lint bench-smoke bench-sweep bench-daemon check clean
 
 all: build
 
@@ -29,6 +29,14 @@ bench-smoke: build
 # ~1k-device point.
 bench-sweep: build
 	dune exec bench/main.exe -- sweep --scale 1
+
+# The daemon workload of the pipeline benchmark (perfbench/): two clients
+# querying `batfish_cli serve --domains 2` over NET12 x2. At seed 1 every
+# response's bytes are checked against the committed digests in
+# perfbench/digests/, so a rendering or encoding change that alters a
+# single answer byte fails here. Prints the one-line JSON result.
+bench-daemon:
+	python3 perfbench/run.py --workload daemon-queries --seed 1
 
 # The full gate: everything compiles, every test passes (which includes
 # linting the example fixtures via the runtest alias), and the bench smoke

@@ -1104,6 +1104,79 @@ let service_bench ~scale ~domains () =
       m_b "identical" identical ];
   print_newline ()
 
+(* Where a served all-pairs answer spends its time, in process on NET12
+   with a warmed 2-domain pool: the parallel engine ([Fpar.all_pairs]), the
+   table rendering (example flows to text), the fragment encoding and the
+   response write (envelope + bytes to /dev/null). The daemon's request
+   path is these four stages plus protocol IO, so this is the per-stage
+   attribution the socket-level benchmarks cannot see. Each stage is the
+   median of [reps] runs over the same input. *)
+let render_bench ~factor () =
+  Printf.printf
+    "== Answer path: engine, rendering, encoding, write (NET12 x%g, 2 domains) ==\n"
+    factor;
+  let p = List.find (fun (p : Netgen.profile) -> p.Netgen.p_name = "NET12") Netgen.profiles in
+  let net = p.Netgen.p_make factor in
+  let pool = Par.Pool.create ~domains:2 () in
+  let options =
+    { Dataplane.default_options with Dataplane.domains = 2; Dataplane.pool = Some pool }
+  in
+  let bf =
+    Batfish.init ~options ~auto_domains:true ~env:net.Netgen.n_env
+      (Batfish.Snapshot.of_texts net.Netgen.n_configs)
+  in
+  ignore (Batfish.prewarm bf);
+  let q = Batfish.forwarding bf in
+  let reps = 7 in
+  let median f =
+    let ts = Array.init reps (fun _ -> snd (time f)) in
+    Array.sort compare ts;
+    ts.(reps / 2)
+  in
+  let engine () = Fpar.all_pairs ~pool ~domains:2 ~auto:true q in
+  let rows = engine () in
+  let engine_t = median engine in
+  let answer = Questions.all_pairs_answer rows in
+  let render_t = median (fun () -> Questions.all_pairs_answer rows) in
+  let encode () = Service.answers_fragment ~plan:"parallel(2)" [ answer ] in
+  let fragment = encode () in
+  let encode_t = median encode in
+  let oc = open_out_bin "/dev/null" in
+  let write_t =
+    median (fun () ->
+        List.iter (output_string oc)
+          (Service.response_parts ~id:(Sjson.Int 1)
+             ~meta:"{\"coalesced\":false}" ~ok:true fragment);
+        output_char oc '\n';
+        flush oc)
+  in
+  close_out oc;
+  let distinct =
+    let seen = Hashtbl.create 64 in
+    List.iter
+      (fun (r : Fquery.reach_row) ->
+        Option.iter (fun p -> Hashtbl.replace seen p ()) r.Fquery.rr_example)
+      rows;
+    Hashtbl.length seen
+  in
+  let identical = answer = Batfish.answer_all_pairs bf in
+  Par.Pool.shutdown pool;
+  let after = render_t +. encode_t +. write_t in
+  Printf.printf
+    "   %d devices, %d rows (%d distinct example flows), %d-byte fragment\n"
+    (Netgen.device_count net) (List.length rows) distinct (String.length fragment);
+  Printf.printf
+    "   engine %s | render %s | encode %s | write %s  (after-engine = %.2fx engine)\n"
+    (fmt_s engine_t) (fmt_s render_t) (fmt_s encode_t) (fmt_s write_t)
+    (after /. Float.max 1e-9 engine_t);
+  record "service.render"
+    [ m_i "devices" (Netgen.device_count net); m_i "rows" (List.length rows);
+      m_i "distinct_examples" distinct; m_i "fragment_bytes" (String.length fragment);
+      m_f "engine_s" engine_t; m_f "render_s" render_t; m_f "encode_s" encode_t;
+      m_f "write_s" write_t; m_f "after_engine_ratio" (after /. Float.max 1e-9 engine_t);
+      m_b "identical" identical ];
+  print_newline ()
+
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (Bechamel)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1337,8 +1410,12 @@ let () =
     failures ~scale:(if smoke then min scale 1.0 else scale) ~domains ();
   if want "coverage" || smoke then
     coverage_bench ~scale:(if smoke then min scale 1.0 else scale) ~domains ();
-  if want "service" || smoke then
+  if want "service" || smoke then begin
     service_bench ~scale:(if smoke then min scale 1.0 else scale) ~domains ();
+    (* NET12 x2 is the snapshot the daemon benchmark serves; smoke keeps the
+       stage split at a quarter of that size *)
+    render_bench ~factor:(if smoke then 0.5 else 2.0) ()
+  end;
   if want "micro" && not smoke then micro ();
   (* smoke runs the sweep at one small factor (the bit-identity gate still
      applies); full runs sweep three factors, plus the ~1k-device point when

@@ -36,9 +36,25 @@ let of_string s =
   | Some ip -> ip
   | None -> invalid_arg (Printf.sprintf "Ipv4.of_string: %S" s)
 
+(* Decimal digits of one octet (0..255), written without allocating. *)
+let add_octet buf n =
+  if n >= 100 then Buffer.add_char buf (Char.unsafe_chr (48 + (n / 100)));
+  if n >= 10 then Buffer.add_char buf (Char.unsafe_chr (48 + (n / 10 mod 10)));
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_to_buffer buf ip =
+  add_octet buf ((ip lsr 24) land 0xFF);
+  Buffer.add_char buf '.';
+  add_octet buf ((ip lsr 16) land 0xFF);
+  Buffer.add_char buf '.';
+  add_octet buf ((ip lsr 8) land 0xFF);
+  Buffer.add_char buf '.';
+  add_octet buf (ip land 0xFF)
+
 let to_string ip =
-  let a, b, c, d = to_octets ip in
-  Printf.sprintf "%d.%d.%d.%d" a b c d
+  let buf = Buffer.create 15 in
+  add_to_buffer buf ip;
+  Buffer.contents buf
 
 let pp fmt ip = Format.pp_print_string fmt (to_string ip)
 let compare = Int.compare

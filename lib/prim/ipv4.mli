@@ -16,6 +16,10 @@ val of_string : string -> t
 
 val of_string_opt : string -> t option
 val to_string : t -> string
+
+(** [add_to_buffer buf ip] appends [to_string ip] to [buf]. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -12,9 +12,24 @@ module Tcp_flags = struct
     [ (fin, "FIN"); (syn, "SYN"); (rst, "RST"); (psh, "PSH"); (ack, "ACK");
       (urg, "URG"); (ece, "ECE"); (cwr, "CWR") ]
 
+  let add_to_buffer buf flags =
+    let any =
+      List.fold_left
+        (fun any (b, n) ->
+          if flags land b = 0 then any
+          else begin
+            if any then Buffer.add_char buf '|';
+            Buffer.add_string buf n;
+            true
+          end)
+        false names
+    in
+    if not any then Buffer.add_char buf '-'
+
   let to_string flags =
-    let set = List.filter_map (fun (b, n) -> if flags land b <> 0 then Some n else None) names in
-    if set = [] then "-" else String.concat "|" set
+    let buf = Buffer.create 16 in
+    add_to_buffer buf flags;
+    Buffer.contents buf
 end
 
 module Proto = struct
@@ -65,18 +80,29 @@ let icmp ?(ty = 8) ?(code = 0) ~src ~dst () =
     src_port = 0; dst_port = 0; icmp_type = ty; icmp_code = code; tcp_flags = 0 }
 
 let to_string p =
-  let base =
-    Printf.sprintf "%s %s -> %s" (Proto.to_string p.protocol)
-      (Ipv4.to_string p.src_ip) (Ipv4.to_string p.dst_ip)
+  let buf = Buffer.create 64 in
+  let field name v =
+    Buffer.add_string buf name;
+    Buffer.add_string buf (string_of_int v)
   in
-  if p.protocol = Proto.tcp then
-    Printf.sprintf "%s sport=%d dport=%d flags=%s" base p.src_port p.dst_port
-      (Tcp_flags.to_string p.tcp_flags)
-  else if p.protocol = Proto.udp then
-    Printf.sprintf "%s sport=%d dport=%d" base p.src_port p.dst_port
-  else if p.protocol = Proto.icmp then
-    Printf.sprintf "%s type=%d code=%d" base p.icmp_type p.icmp_code
-  else base
+  Buffer.add_string buf (Proto.to_string p.protocol);
+  Buffer.add_char buf ' ';
+  Ipv4.add_to_buffer buf p.src_ip;
+  Buffer.add_string buf " -> ";
+  Ipv4.add_to_buffer buf p.dst_ip;
+  if p.protocol = Proto.tcp || p.protocol = Proto.udp then begin
+    field " sport=" p.src_port;
+    field " dport=" p.dst_port;
+    if p.protocol = Proto.tcp then begin
+      Buffer.add_string buf " flags=";
+      Tcp_flags.add_to_buffer buf p.tcp_flags
+    end
+  end
+  else if p.protocol = Proto.icmp then begin
+    field " type=" p.icmp_type;
+    field " code=" p.icmp_code
+  end;
+  Buffer.contents buf
 
 let pp fmt p = Format.pp_print_string fmt (to_string p)
 let equal = ( = )

@@ -24,7 +24,13 @@ let of_string s =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Prefix.of_string: %S" s)
 
-let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.network) p.len
+let to_string p =
+  let buf = Buffer.create 18 in
+  Ipv4.add_to_buffer buf p.network;
+  Buffer.add_char buf '/';
+  Buffer.add_string buf (string_of_int p.len);
+  Buffer.contents buf
+
 let pp fmt p = Format.pp_print_string fmt (to_string p)
 
 let compare a b =

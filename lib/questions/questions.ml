@@ -271,6 +271,9 @@ let search_filters env (cfg : Vi.t) ~acl ~action =
     | Some a ->
       (* per-line reachable match space: line space minus earlier lines *)
       let earlier = ref Bdd.bot in
+      (* hash-consed, so forcing on first use creates exactly the nodes the
+         per-line calls did *)
+      let prefs = lazy (Pktset.standard_prefs env ()) in
       List.filter_map
         (fun (l : Vi.acl_line) ->
           let space = Bdd.bdiff man (Acl_bdd.line env l) !earlier in
@@ -279,7 +282,7 @@ let search_filters env (cfg : Vi.t) ~acl ~action =
           else if Bdd.is_bot space then
             Some [ cfg.hostname; l.l_text; "UNMATCHABLE"; "-" ]
           else
-            let pkt = Pktset.to_packet env ~prefs:(Pktset.standard_prefs env ()) space in
+            let pkt = Pktset.to_packet env ~prefs:(Lazy.force prefs) space in
             Some
               [ cfg.hostname; l.l_text; "example";
                 (match pkt with
@@ -373,11 +376,12 @@ let reachability q ~src ~dst_ip ?hdr () =
 let multipath_consistency ?pool ?(domains = 1) ?(auto = false) q =
   let env = Fquery.env q in
   let violations = Fpar.multipath_consistency ?pool ~domains ~auto q in
+  let prefs = lazy (Pktset.standard_prefs env ()) in
   let rows =
     List.map
       (fun (((node, iface) : Fquery.start), v) ->
         [ node; Option.value iface ~default:"-";
-          (match Pktset.to_packet env ~prefs:(Pktset.standard_prefs env ()) v with
+          (match Pktset.to_packet env ~prefs:(Lazy.force prefs) v with
            | Some p -> Packet.to_string p
            | None -> "-") ])
       violations
@@ -385,20 +389,35 @@ let multipath_consistency ?pool ?(domains = 1) ?(auto = false) q =
   { a_title = "multipathConsistency";
     a_header = [ "node"; "interface"; "exampleFlow" ]; a_rows = rows }
 
-let all_pairs_reachability ?pool ?(domains = 1) ?(auto = false) q =
+(* Thousands of rows share a few dozen distinct example flows (every
+   member of an interchangeable-source group repeats its representative's
+   examples), so each distinct packet is rendered once per answer. *)
+let all_pairs_answer rows =
+  let rendered = Hashtbl.create 64 in
+  let example (p : Packet.t) =
+    match Hashtbl.find_opt rendered p with
+    | Some s -> s
+    | None ->
+      let s = Packet.to_string p in
+      Hashtbl.add rendered p s;
+      s
+  in
   let rows =
     List.map
       (fun (r : Fquery.reach_row) ->
         let node, iface = r.rr_src in
         [ node; Option.value iface ~default:"-"; r.rr_dst;
           (match r.rr_example with
-           | Some p -> Packet.to_string p
+           | Some p -> example p
            | None -> "-") ])
-      (Fpar.all_pairs ?pool ~domains ~auto q)
+      rows
   in
   { a_title = "allPairsReachability";
     a_header = [ "srcNode"; "srcInterface"; "dstNode"; "exampleFlow" ];
     a_rows = rows }
+
+let all_pairs_reachability ?pool ?(domains = 1) ?(auto = false) q =
+  all_pairs_answer (Fpar.all_pairs ?pool ~domains ~auto q)
 
 let detect_loops q =
   let env = Fquery.env q in
@@ -418,6 +437,7 @@ let differential_reachability q_base q_new ~srcs =
   let man = Pktset.man env in
   let base = Fquery.to_delivered q_base () in
   let fresh = Fquery.to_delivered q_new () in
+  let prefs = lazy (Pktset.standard_prefs env ()) in
   let rows =
     List.concat_map
       (fun ((node, iface) as s) ->
@@ -437,7 +457,7 @@ let differential_reachability q_base q_new ~srcs =
           else
             Some
               [ node; Option.value iface ~default:"-"; kind;
-                (match Pktset.to_packet env ~prefs:(Pktset.standard_prefs env ()) v with
+                (match Pktset.to_packet env ~prefs:(Lazy.force prefs) v with
                  | Some p -> Packet.to_string p
                  | None -> "-") ]
         in

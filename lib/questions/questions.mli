@@ -114,6 +114,11 @@ val multipath_consistency :
 val all_pairs_reachability :
   ?pool:Par.Pool.t -> ?domains:int -> ?auto:bool -> Fquery.t -> answer
 
+(** The all-pairs table for rows the engine already computed:
+    [all_pairs_reachability q] is [all_pairs_answer (Fpar.all_pairs q)].
+    Each distinct example flow is rendered once per call. *)
+val all_pairs_answer : Fquery.reach_row list -> answer
+
 (** Forwarding loops. *)
 val detect_loops : Fquery.t -> answer
 

@@ -275,20 +275,57 @@ let run_coalesced t ~fp ~key compute =
 (* --- request handling --------------------------------------------------- *)
 
 let str s = Sjson.Str s
-let answer_json (a : Questions.answer) =
-  Sjson.Obj
-    [ ("title", str a.Questions.a_title);
-      ("header", Sjson.Arr (List.map str a.Questions.a_header));
-      ("rows",
-       Sjson.Arr
-         (List.map (fun row -> Sjson.Arr (List.map str row)) a.Questions.a_rows)) ]
 
+(* The one answer encoder: tables go straight into a single buffer, with
+   no intermediate [Sjson.t] tree. The bytes are exactly those of
+   [Sjson.to_string] on the equivalent {"answers":[...],"plan":...} tree. *)
 let answers_fragment ?plan answers =
-  let fields =
-    [ ("answers", Sjson.Arr (List.map answer_json answers)) ]
-    @ match plan with None -> [] | Some p -> [ ("plan", str p) ]
+  (* sized for the unescaped text plus quotes and separators, so a
+     multi-megabyte answer is written without regrowing the buffer *)
+  let strings_size xs = List.fold_left (fun n x -> n + String.length x + 3) 2 xs in
+  let size =
+    List.fold_left
+      (fun n (a : Questions.answer) ->
+        List.fold_left
+          (fun n row -> n + strings_size row)
+          (n + 64 + strings_size (a.Questions.a_title :: a.Questions.a_header))
+          a.Questions.a_rows)
+      64 answers
   in
-  Sjson.to_string (Sjson.Obj fields)
+  let buf = Buffer.create size in
+  let strings xs =
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        Sjson.add_quoted buf x)
+      xs;
+    Buffer.add_char buf ']'
+  in
+  Buffer.add_string buf "{\"answers\":[";
+  List.iteri
+    (fun i (a : Questions.answer) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf "{\"title\":";
+      Sjson.add_quoted buf a.Questions.a_title;
+      Buffer.add_string buf ",\"header\":";
+      strings a.Questions.a_header;
+      Buffer.add_string buf ",\"rows\":[";
+      List.iteri
+        (fun j row ->
+          if j > 0 then Buffer.add_char buf ',';
+          strings row)
+        a.Questions.a_rows;
+      Buffer.add_string buf "]}")
+    answers;
+  Buffer.add_char buf ']';
+  Option.iter
+    (fun p ->
+      Buffer.add_string buf ",\"plan\":";
+      Sjson.add_quoted buf p)
+    plan;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 (* The admission decision a symbolic query will face, as reported to the
    client: the very plan [Fpar] uses, fed the session pool, the adaptive
@@ -518,26 +555,19 @@ let dispatch t req =
     Ok ("\"stopping\"", None)
   | Some m -> Error (Printf.sprintf "unknown method '%s'" m)
 
-(* Assemble one response line. The result fragment is spliced in verbatim
-   (it is already JSON), so coalesced followers share the rendered result
-   without re-encoding — only the envelope differs per request. *)
-let respond ?id ?meta ~ok body =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (if ok then "{\"ok\":true" else "{\"ok\":false");
-  (match id with
-  | Some id ->
-    Buffer.add_string buf ",\"id\":";
-    Buffer.add_string buf (Sjson.to_string id)
-  | None -> ());
-  Buffer.add_string buf (if ok then ",\"result\":" else ",\"error\":");
-  Buffer.add_string buf body;
-  (match meta with
-  | Some m ->
-    Buffer.add_string buf ",\"meta\":";
-    Buffer.add_string buf m
-  | None -> ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(* One response line as [head; body; tail]. The result fragment [body] is
+   passed through verbatim (it is already JSON), so coalesced followers
+   share the rendered result without re-encoding or copying it — only the
+   small envelope around it differs per request. *)
+let response_parts ?id ?meta ~ok body =
+  let head =
+    String.concat ""
+      [ (if ok then "{\"ok\":true" else "{\"ok\":false");
+        (match id with Some id -> ",\"id\":" ^ Sjson.to_string id | None -> "");
+        (if ok then ",\"result\":" else ",\"error\":") ]
+  in
+  let tail = match meta with Some m -> ",\"meta\":" ^ m ^ "}" | None -> "}" in
+  [ head; body; tail ]
 
 let count_request ?(error = false) t =
   Mutex.lock t.v_mutex;
@@ -547,9 +577,9 @@ let count_request ?(error = false) t =
 
 let error_response ?id t msg =
   count_request ~error:true t;
-  respond ?id ~ok:false (Sjson.to_string (Sjson.Str msg))
+  response_parts ?id ~ok:false (Sjson.to_string (Sjson.Str msg))
 
-let handle_line t line =
+let handle_line_parts t line =
   match Sjson.parse line with
   | Error msg -> error_response t msg
   | Ok req -> (
@@ -558,7 +588,9 @@ let handle_line t line =
     | Error msg -> error_response ?id t msg
     | Ok (body, meta) ->
       count_request t;
-      respond ?id ?meta ~ok:true body)
+      response_parts ?id ?meta ~ok:true body)
+
+let handle_line t line = String.concat "" (handle_line_parts t line)
 
 (* --- sockets and lifecycle ---------------------------------------------- *)
 
@@ -603,8 +635,7 @@ let handle_conn t fd =
            else line
          in
          if String.trim line <> "" then begin
-           let resp = handle_line t line in
-           output_string oc resp;
+           List.iter (output_string oc) (handle_line_parts t line);
            output_char oc '\n';
            flush oc
          end;

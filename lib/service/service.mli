@@ -61,6 +61,25 @@ val create :
     request must never take the daemon down. Thread-safe. *)
 val handle_line : t -> string -> string
 
+(** The same response as {!handle_line}, in parts whose concatenation is
+    that line: the envelope head, the result fragment (shared, not copied,
+    between coalesced requests) and the envelope tail. The socket server
+    writes the parts one after another, never building the full line. *)
+val handle_line_parts : t -> string -> string list
+
+(** [response_parts ?id ?meta ~ok body] is the envelope around an
+    already-encoded JSON value [body], as [[head; body; tail]]:
+    [{"ok":true,"id":ID,"result":BODY,"meta":META}], or ["error"] in place
+    of ["result"] when [ok] is false. [meta] is encoded JSON too. *)
+val response_parts :
+  ?id:Sjson.t -> ?meta:string -> ok:bool -> string -> string list
+
+(** The result fragment of a query: [{"answers":[...]}] with one object
+    per answer ([title], [header], [rows]), plus ["plan"] when given.
+    Byte-identical to [Sjson.to_string] of the equivalent tree, but encoded
+    straight into one buffer. *)
+val answers_fragment : ?plan:string -> Questions.answer list -> string
+
 (** Load a snapshot directly (bypassing the protocol): returns its store
     fingerprint. [warm] (default true) forces the data plane and
     forwarding graph and pre-imports the graph into every pool worker.

@@ -9,19 +9,36 @@ type t =
 
 (* --- printing ----------------------------------------------------------- *)
 
+let hex = "0123456789abcdef"
+
+(* Append [s] escaped. Runs of characters that need no escaping — nearly
+   all of any real answer — are copied with one [add_substring] each. *)
 let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 0xF]);
+      start := i + 1
+    end
+  done;
+  if n > !start then Buffer.add_substring buf s !start (n - !start)
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  escape buf s;
+  Buffer.add_char buf '"'
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -33,10 +50,7 @@ let to_string v =
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    | Str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
+    | Str s -> add_quoted buf s
     | Arr xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -50,9 +64,8 @@ let to_string v =
       List.iteri
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf "\":";
+          add_quoted buf k;
+          Buffer.add_char buf ':';
           go x)
         kvs;
       Buffer.add_char buf '}'

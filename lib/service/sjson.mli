@@ -21,6 +21,11 @@ val parse : string -> (t, string) result
     so they re-parse as floats. *)
 val to_string : t -> string
 
+(** [add_quoted buf s] appends [s] as a quoted JSON string literal, escaped
+    exactly as {!to_string} escapes [Str s]. For encoders that write large
+    documents straight into one buffer instead of building a [t]. *)
+val add_quoted : Buffer.t -> string -> unit
+
 (** {2 Accessors} — total lookups used by the request handlers. *)
 
 (** Field of an object ([None] on missing field or non-object). *)

@@ -152,6 +152,84 @@ let packet_units () =
   check Alcotest.int "icmp proto" Packet.Proto.icmp i.Packet.protocol;
   check Alcotest.int "echo request" 8 i.Packet.icmp_type
 
+(* --- Renderers: byte-identity with the Printf formulations --- *)
+
+(* The renderers write into a Buffer; these are the Printf formulations
+   they replaced, kept here only as the reference. *)
+let printf_ipv4 ip =
+  let a, b, c, d = Ipv4.to_octets ip in
+  Printf.sprintf "%d.%d.%d.%d" a b c d
+
+let printf_prefix p =
+  Printf.sprintf "%s/%d" (printf_ipv4 (Prefix.network p)) (Prefix.length p)
+
+let printf_tcp_flags flags =
+  let set =
+    List.filter_map
+      (fun (b, n) -> if flags land b <> 0 then Some n else None)
+      [ (Packet.Tcp_flags.fin, "FIN"); (Packet.Tcp_flags.syn, "SYN");
+        (Packet.Tcp_flags.rst, "RST"); (Packet.Tcp_flags.psh, "PSH");
+        (Packet.Tcp_flags.ack, "ACK"); (Packet.Tcp_flags.urg, "URG");
+        (Packet.Tcp_flags.ece, "ECE"); (Packet.Tcp_flags.cwr, "CWR") ]
+  in
+  if set = [] then "-" else String.concat "|" set
+
+let printf_packet (p : Packet.t) =
+  let base =
+    Printf.sprintf "%s %s -> %s" (Packet.Proto.to_string p.protocol)
+      (printf_ipv4 p.src_ip) (printf_ipv4 p.dst_ip)
+  in
+  if p.protocol = Packet.Proto.tcp then
+    Printf.sprintf "%s sport=%d dport=%d flags=%s" base p.src_port p.dst_port
+      (printf_tcp_flags p.tcp_flags)
+  else if p.protocol = Packet.Proto.udp then
+    Printf.sprintf "%s sport=%d dport=%d" base p.src_port p.dst_port
+  else if p.protocol = Packet.Proto.icmp then
+    Printf.sprintf "%s type=%d code=%d" base p.icmp_type p.icmp_code
+  else base
+
+(* tcp, udp and icmp in equal measure with other protocol numbers; every
+   field over its full header range *)
+let packet_gen =
+  QCheck.Gen.(
+    let* protocol =
+      oneof
+        [ pure Packet.Proto.tcp; pure Packet.Proto.udp; pure Packet.Proto.icmp;
+          int_bound 255 ]
+    in
+    let* src_ip = ip_gen and* dst_ip = ip_gen in
+    let* src_port = int_bound 65535 and* dst_port = int_bound 65535 in
+    let* icmp_type = int_bound 255 and* icmp_code = int_bound 255 in
+    let* tcp_flags = int_bound 255 in
+    let* dscp = int_bound 63 and* ecn = int_bound 3 in
+    let+ packet_length = int_bound 65535 in
+    { Packet.src_ip; dst_ip; protocol; src_port; dst_port; icmp_type;
+      icmp_code; tcp_flags; dscp; ecn; fragment_offset = 0; packet_length })
+
+let render_units () =
+  for flags = 0 to 255 do
+    check Alcotest.string
+      (Printf.sprintf "flags %d" flags)
+      (printf_tcp_flags flags)
+      (Packet.Tcp_flags.to_string flags)
+  done;
+  List.iter
+    (fun ip -> check Alcotest.string "ipv4 edge" (printf_ipv4 ip) (Ipv4.to_string ip))
+    [ 0; 0xFFFF_FFFF; Ipv4.of_octets 9 10 99 100; Ipv4.of_octets 100 0 255 1 ]
+
+let render_ipv4 =
+  qtest ~count:1000 "ipv4 to_string = printf" QCheck.(make ip_gen)
+    (fun ip -> Ipv4.to_string ip = printf_ipv4 ip)
+
+let render_prefix =
+  qtest ~count:1000 "prefix to_string = printf" prefix_arb
+    (fun p -> Prefix.to_string p = printf_prefix p)
+
+let render_packet =
+  qtest ~count:2000 "packet to_string = printf"
+    (QCheck.make ~print:printf_packet packet_gen)
+    (fun p -> Packet.to_string p = printf_packet p)
+
 (* --- Rng --- *)
 
 let rng_units () =
@@ -218,6 +296,9 @@ let suites =
       [ Alcotest.test_case "units" `Quick trie_units; trie_find_matches_model;
         trie_lpm_matches_model; trie_remove_then_absent; trie_within_under_prefix ] );
     ("prim.packet", [ Alcotest.test_case "units" `Quick packet_units ]);
+    ( "prim.render",
+      [ Alcotest.test_case "flag sets and edge addresses" `Quick render_units;
+        render_ipv4; render_prefix; render_packet ] );
     ("prim.rng", [ Alcotest.test_case "units" `Quick rng_units ]);
     ("prim.intern", [ Alcotest.test_case "units" `Quick intern_units ]);
     ("prim.par", [ par_matches_seq ]);

@@ -56,6 +56,84 @@ let sjson_parse_errors () =
       | Ok _ -> Alcotest.failf "expected parse error for %S" s)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 trailing"; "{\"a\" 1}" ]
 
+(* --- byte-identity of the direct answer encoder ------------------------- *)
+
+let qtest ?(count = 300) name arb prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
+(* The per-character escaper [Sjson] used before it copied unescaped runs
+   whole; kept here only as the reference. *)
+let per_char_escape s =
+  let buf = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  "\"" ^ Buffer.contents buf ^ "\""
+
+(* Strings dense in the bytes an encoder can get wrong: quotes, backslashes,
+   the named and unnamed control bytes, DEL and bytes >= 0x80. *)
+let nasty_string =
+  QCheck.Gen.(
+    string_size (int_bound 24)
+      ~gen:
+        (frequency
+           [ (4, char_range 'a' 'z'); (1, pure '"'); (1, pure '\\');
+             (1, oneofl [ '\n'; '\r'; '\t' ]); (1, char_range '\000' '\031');
+             (1, pure '\127'); (1, char_range '\128' '\255') ]))
+
+let sjson_escape_matches_per_char =
+  qtest ~count:1000 "escape = per-character escape"
+    (QCheck.make ~print:String.escaped nasty_string)
+    (fun s -> Sjson.to_string (Sjson.Str s) = per_char_escape s)
+
+let answer_gen =
+  QCheck.Gen.(
+    let* a_title = nasty_string in
+    let* a_header = list_size (int_bound 4) nasty_string in
+    let+ a_rows = list_size (int_bound 6) (list_size (int_bound 4) nasty_string) in
+    { Questions.a_title; a_header; a_rows })
+
+(* [Service.answers_fragment] against [Sjson.to_string] of the tree the
+   service used to build for the same answers *)
+let fragment_matches_tree =
+  let print (plan, answers) =
+    Printf.sprintf "plan=%s answers=%s"
+      (Option.value ~default:"-" plan)
+      (String.concat "; "
+         (List.map
+            (fun (a : Questions.answer) ->
+              String.escaped (Questions.answer_to_string a))
+            answers))
+  in
+  qtest "answers_fragment = Sjson tree"
+    (QCheck.make ~print
+       QCheck.Gen.(pair (opt nasty_string) (list_size (int_bound 3) answer_gen)))
+    (fun (plan, answers) ->
+      let str s = Sjson.Str s in
+      let answer_json (a : Questions.answer) =
+        Sjson.Obj
+          [ ("title", str a.Questions.a_title);
+            ("header", Sjson.Arr (List.map str a.Questions.a_header));
+            ("rows",
+             Sjson.Arr
+               (List.map (fun row -> Sjson.Arr (List.map str row)) a.Questions.a_rows)) ]
+      in
+      let tree =
+        Sjson.Obj
+          ([ ("answers", Sjson.Arr (List.map answer_json answers)) ]
+          @ match plan with None -> [] | Some p -> [ ("plan", str p) ])
+      in
+      Service.answers_fragment ?plan answers = Sjson.to_string tree)
+
 (* --- protocol helpers --------------------------------------------------- *)
 
 let fixture_files =
@@ -211,6 +289,38 @@ let service_malformed_isolation () =
     (resp_ok (Service.handle_line t (request "query" ~params:[ ("question", Sjson.Str "nope") ])));
   check Alcotest.bool "query after rejection ok" true
     (resp_ok (Service.handle_line t (request "query" ~params:[ ("question", Sjson.Str "multipath") ])))
+
+(* The socket server writes [handle_line_parts] one part after another; the
+   parts must concatenate to exactly the line tests and clients see, with
+   the query's result fragment passed through as its own part. *)
+let service_line_equals_parts () =
+  let t = Service.create ~domains:1 () in
+  let load = request "load" ~params:(load_params fixture_files) in
+  let query question =
+    request "query" ~id:3 ~params:[ ("question", Sjson.Str question) ]
+  in
+  check Alcotest.bool "load ok" true (resp_ok (Service.handle_line t load));
+  (* requests whose answer does not depend on how often they were asked
+     (a repeated load reports reused=true both times) *)
+  List.iter
+    (fun (label, line) ->
+      let parts = Service.handle_line_parts t line in
+      check Alcotest.int (label ^ ": three parts") 3 (List.length parts);
+      check Alcotest.string (label ^ ": line = parts")
+        (Service.handle_line t line) (String.concat "" parts))
+    [ ("ping", request ~id:1 "ping"); ("load", load);
+      ("all_pairs", query "all_pairs"); ("multipath", query "multipath");
+      ("routes", query "routes"); ("unknown question", query "nope");
+      ("malformed", "not json") ];
+  match Service.handle_line_parts t (query "all_pairs") with
+  | [ _; body; _ ] ->
+    let direct = Batfish.init (Batfish.Snapshot.of_texts fixture_files) in
+    let expect = Service.answers_fragment [ Batfish.answer_all_pairs direct ] in
+    (* the fragment carries the admission plan after the answers *)
+    check Alcotest.string "fragment is the encoded answer"
+      (String.sub expect 0 (String.length expect - 1))
+      (String.sub body 0 (String.length expect - 1))
+  | _ -> Alcotest.fail "expected three parts"
 
 (* --- coalescing --------------------------------------------------------- *)
 
@@ -454,7 +564,8 @@ let suites =
   [ ( "sjson",
       [ Alcotest.test_case "value round-trip through to_string/parse" `Quick sjson_roundtrip;
         Alcotest.test_case "escapes, numbers, whitespace" `Quick sjson_parse_forms;
-        Alcotest.test_case "malformed inputs are parse errors" `Quick sjson_parse_errors ] );
+        Alcotest.test_case "malformed inputs are parse errors" `Quick sjson_parse_errors;
+        sjson_escape_matches_per_char; fragment_matches_tree ] );
     ( "service",
       [ Alcotest.test_case "ping echoes id" `Quick service_ping_envelope;
         Alcotest.test_case "identical configs dedup to one snapshot" `Quick service_load_dedup;
@@ -471,7 +582,9 @@ let suites =
         Alcotest.test_case "stop drains an in-flight request" `Quick
           service_shutdown_mid_request;
         Alcotest.test_case "protocol shutdown stops the daemon" `Quick
-          service_protocol_shutdown ] );
+          service_protocol_shutdown;
+        Alcotest.test_case "response line = concatenated parts" `Quick
+          service_line_equals_parts ] );
     ( "service_pool",
       [ Alcotest.test_case "shutdown drains a racing job" `Quick pool_shutdown_drains_inflight_job;
         Alcotest.test_case "concurrent shutdowns join each worker once" `Quick
