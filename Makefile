@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench-smoke bench-sweep bench-daemon check clean
+.PHONY: all build test lint bench-smoke bench-sweep bench-daemon bench-failures check clean
 
 all: build
 
@@ -37,6 +37,15 @@ bench-sweep: build
 # single answer byte fails here. Prints the one-line JSON result.
 bench-daemon:
 	python3 perfbench/run.py --workload daemon-queries --seed 1
+
+# The failure-sweep workload of the pipeline benchmark (perfbench/):
+# `verify --failures 1` on seeded NET7 x0.25 variants, the only workload
+# running atom pruning. At seed 1 every op's answers and counters, bdd.nodes
+# included, are checked against perfbench/digests/, so an atomization change
+# that creates a single node more, fewer or in another order fails here.
+# Prints the one-line JSON result.
+bench-failures:
+	python3 perfbench/run.py --workload failure-sweep --seed 1
 
 # The full gate: everything compiles, every test passes (which includes
 # linting the example fixtures via the runtest alias), and the bench smoke

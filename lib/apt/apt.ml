@@ -5,6 +5,14 @@ type t = {
   edge_atoms : (int * int * int, Bytes.t) Hashtbl.t;
 }
 
+type refusal = Transformation_edges | Atom_cap of int
+
+exception Refused of refusal
+
+let refusal_to_string = function
+  | Transformation_edges -> "the forwarding graph has transformation (NAT) edges"
+  | Atom_cap n -> Printf.sprintf "refinement exceeded the cap of %d atoms" n
+
 let rec filter_of g fn =
   let man = Pktset.man g.Fgraph.env in
   match fn with
@@ -12,7 +20,7 @@ let rec filter_of g fn =
   | Fgraph.Seq fns -> List.fold_left (fun acc fn -> Bdd.band man acc (filter_of g fn)) Bdd.top fns
   | Fgraph.Set_extra _ | Fgraph.Erase_extra _ ->
     Bdd.top (* extra bits are outside the APT header space *)
-  | Fgraph.Transform _ -> failwith "Apt: transformation edges are not supported"
+  | Fgraph.Transform _ -> raise (Refused Transformation_edges)
 
 let bitset_empty n = Bytes.make ((n + 7) / 8) '\000'
 
@@ -20,6 +28,16 @@ let bitset_set b i =
   Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
 
 let bitset_mem b i = Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0
+
+(* The first [Some] that [f] returns over the members of [b], in order. *)
+let bitset_find_map b f =
+  let rec go i =
+    if i >= 8 * Bytes.length b then None
+    else if i land 7 = 0 && Bytes.get b (i / 8) = '\000' then go (i + 8)
+    else if bitset_mem b i then match f i with None -> go (i + 1) | r -> r
+    else go (i + 1)
+  in
+  go 0
 
 let bitset_union a b =
   let out = Bytes.copy a in
@@ -37,12 +55,23 @@ let bitset_inter a b =
 
 let bitset_equal = Bytes.equal
 
-exception Too_many_atoms
+type relation = Disjoint | Inside | Overlaps
 
+(* Refinement, one predicate at a time, over atoms labelled with the set of
+   predicates already refined that contain them (a child inherits its
+   parent's label when an atom splits). Against predicate [p_j] an atom is
+   settled from its label when some [p_k] holding it is disjoint from or
+   inside [p_j] (a lazily memoized predicate-pair relation), and otherwise
+   by the non-allocating [Bdd.intersects]/[Bdd.leq]; [band]/[bdiff] run
+   only on atoms that really split. On a pair that does not split they
+   would have returned the atom, its cofactors or ⊥, so the manager
+   creates exactly the nodes, in exactly the order, of the plain
+   every-atom-against-every-predicate refinement. Each predicate's atom
+   set is then read off the labels. *)
 let build_capped ~max_atoms g =
   let env = g.Fgraph.env in
   let man = Pktset.man env in
-  (* all distinct predicates *)
+  (* all distinct predicates, numbered in table order *)
   let predicates = Hashtbl.create 64 in
   Array.iter
     (fun edges ->
@@ -50,35 +79,63 @@ let build_capped ~max_atoms g =
         (fun (e : Fgraph.edge) -> Hashtbl.replace predicates (filter_of g e.e_fn) ())
         edges)
     g.Fgraph.out_edges;
-  (* refine the partition of header space *)
-  let atoms = ref [ Bdd.top ] in
-  Hashtbl.iter
-    (fun p () ->
-      if not (Bdd.is_top p || Bdd.is_bot p) then begin
-        atoms :=
-          List.concat_map
-            (fun a ->
+  let preds =
+    Array.of_list (List.rev (Hashtbl.fold (fun p () acc -> p :: acc) predicates []))
+  in
+  let relation a b =
+    if not (Bdd.intersects man a b) then Disjoint
+    else if Bdd.leq man a b then Inside
+    else Overlaps
+  in
+  let pair_relations = Hashtbl.create 256 in
+  let pair_relation k j =
+    match Hashtbl.find_opt pair_relations (k, j) with
+    | Some r -> r
+    | None ->
+      let r = relation preds.(k) preds.(j) in
+      Hashtbl.add pair_relations (k, j) r;
+      r
+  in
+  let atoms = ref [ (Bdd.top, bitset_empty (Array.length preds)) ] in
+  let count = ref 1 in
+  Array.iteri
+    (fun j p ->
+      (* a ⊤ or ⊥ predicate settles every atom without a split *)
+      atoms :=
+        List.concat_map
+          (fun ((a, label) as atom) ->
+            let settled =
+              bitset_find_map label (fun k ->
+                  match pair_relation k j with Overlaps -> None | r -> Some r)
+            in
+            match (match settled with Some r -> r | None -> relation a p) with
+            | Disjoint -> [ atom ]
+            | Inside ->
+              bitset_set label j;
+              [ atom ]
+            | Overlaps ->
               let inside = Bdd.band man a p in
               let outside = Bdd.bdiff man a p in
-              List.filter (fun x -> not (Bdd.is_bot x)) [ inside; outside ])
-            !atoms;
-        (* refinement at worst doubles per predicate; bail out before the
-           partition becomes more expensive than what it is meant to save *)
-        if List.length !atoms > max_atoms then raise Too_many_atoms
-      end)
-    predicates;
-  let atoms = Array.of_list !atoms in
+              let label_in = Bytes.copy label in
+              bitset_set label_in j;
+              incr count;
+              [ (inside, label_in); (outside, label) ])
+          !atoms;
+      (* refinement at worst doubles per predicate; bail out before the
+         partition becomes more expensive than what it is meant to save *)
+      if !count > max_atoms then raise (Refused (Atom_cap max_atoms)))
+    preds;
+  let labels = Array.of_list (List.map snd !atoms) in
+  let atoms = Array.of_list (List.map fst !atoms) in
   let n = Array.length atoms in
-  (* per-edge atom bitsets: atom i is in predicate p iff atom ∧ p = atom *)
+  (* each predicate's atom set, read off the labels *)
   let pred_sets = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun p () ->
+  Array.iteri
+    (fun j p ->
       let b = bitset_empty n in
-      Array.iteri
-        (fun i a -> if Bdd.equal (Bdd.band man a p) a then bitset_set b i)
-        atoms;
+      Array.iteri (fun i label -> if bitset_mem label j then bitset_set b i) labels;
       Hashtbl.add pred_sets p b)
-    predicates;
+    preds;
   let edge_atoms = Hashtbl.create 256 in
   Array.iteri
     (fun v edges ->
@@ -93,8 +150,8 @@ let build g = build_capped ~max_atoms:max_int g
 
 let try_build ?(max_atoms = 4096) g =
   match build_capped ~max_atoms g with
-  | t -> Some t
-  | exception _ -> None
+  | t -> Ok t
+  | exception Refused why -> Error why
 
 let atom_count t = Array.length t.atoms
 

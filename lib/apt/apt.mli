@@ -9,15 +9,25 @@
 
 type t
 
+(** Why a partition was not built. *)
+type refusal =
+  | Transformation_edges  (** the graph has transformation (NAT) edges *)
+  | Atom_cap of int  (** refinement exceeded this many atoms *)
+
+exception Refused of refusal
+
+val refusal_to_string : refusal -> string
+
 (** Builds atoms from every distinct filter predicate in the graph.
-    @raise Failure if the graph contains transformation edges. *)
+    @raise Refused [Transformation_edges] if the graph contains
+    transformation edges. *)
 val build : Fgraph.t -> t
 
-(** Total {!build}: [None] when the graph contains transformation edges or
-    refinement exceeds [max_atoms] (default 4096) — callers that use atoms
-    only as an optimization (the failure-scenario symmetry pruner) degrade
-    gracefully instead of aborting. *)
-val try_build : ?max_atoms:int -> Fgraph.t -> t option
+(** {!build} capped at [max_atoms] (default 4096) atoms, returning the
+    refusal instead of raising it — callers that use atoms only as an
+    optimization (the failure-scenario symmetry pruner) degrade gracefully
+    instead of aborting. Any other exception is a bug and propagates. *)
+val try_build : ?max_atoms:int -> Fgraph.t -> (t, refusal) result
 
 val atom_count : t -> int
 

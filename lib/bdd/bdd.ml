@@ -206,6 +206,8 @@ let op_andex = 7
 let op_transform = 8
 let op_restrict = 9
 let op_compose = 10
+let op_intersects = 11
+let op_leq = 12
 
 (* When the set-associative cache thrashes (a full capacity's worth of
    lookups with a poor hit rate), double it up to [cmask_max], rehashing the
@@ -417,6 +419,44 @@ let rec bor_rec m a b =
       let r1 = bor_rec m a1 b1 in
       let res = mk m v r0 r1 in
       cache_store m op_or a b res;
+      res
+    end
+  end
+
+(* Relation tests: the same cofactor recursion as [band_rec], but the
+   result is a boolean cached as 0/1 under its own op code and no node is
+   built, so the first witness ends the walk. *)
+let rec intersects m a b =
+  if a = 0 || b = 0 then false
+  else if a = 1 || b = 1 || a = b then true
+  else begin
+    let a, b = if a > b then (b, a) else (a, b) in
+    let r = cache_find m op_intersects a b in
+    if r >= 0 then r = 1
+    else begin
+      let va = m.var.(a) and vb = m.var.(b) in
+      let v = if va < vb then va else vb in
+      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
+      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let res = intersects m a0 b0 || intersects m a1 b1 in
+      cache_store m op_intersects a b (Bool.to_int res);
+      res
+    end
+  end
+
+let rec leq m a b =
+  if a = 0 || b = 1 || a = b then true
+  else if a = 1 || b = 0 then false
+  else begin
+    let r = cache_find m op_leq a b in
+    if r >= 0 then r = 1
+    else begin
+      let va = m.var.(a) and vb = m.var.(b) in
+      let v = if va < vb then va else vb in
+      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
+      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let res = leq m a0 b0 && leq m a1 b1 in
+      cache_store m op_leq a b (Bool.to_int res);
       res
     end
   end

@@ -52,6 +52,13 @@ val bxor : man -> t -> t -> t
 (** [bdiff man a b] is [a ∧ ¬b]. *)
 val bdiff : man -> t -> t -> t
 
+(** Relation tests that allocate no node: [intersects man a b] is
+    [not (is_bot (band man a b))] and [leq man a b] is
+    [is_bot (bdiff man a b)]. Both stop at the first witness and are
+    memoized in the op cache, so {!node_count} is unchanged by either. *)
+val intersects : man -> t -> t -> bool
+val leq : man -> t -> t -> bool
+
 val bnot : man -> t -> t
 val bimplies : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t

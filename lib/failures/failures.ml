@@ -471,13 +471,20 @@ let run ?pool ?(domains = 1) ?(max_properties = 32) ?(prune = true)
   let properties, dropped = properties_of ~max_properties ~topo base_fq in
   let scenarios = enumerate ~topo ~k in
   let g = Fquery.graph base_fq in
-  let apt = if prune then Apt.try_build ~max_atoms g else None in
-  if prune && not (Option.is_some apt) then
-    diags :=
-      Diag.warn ~phase:Diag.Question ~code:Diag.code_pruning_disabled
-        "atom partition unavailable (transformation edges or atom cap \
-         exceeded); checking every scenario"
-      :: !diags;
+  let apt =
+    if not prune then None
+    else
+      match Apt.try_build ~max_atoms g with
+      | Ok apt -> Some apt
+      | Error why ->
+        diags :=
+          Diag.warn ~phase:Diag.Question ~code:Diag.code_pruning_disabled
+            (Printf.sprintf
+               "atom partition unavailable (%s); checking every scenario"
+               (Apt.refusal_to_string why))
+          :: !diags;
+        None
+  in
   let anchors =
     List.sort_uniq compare
       (List.concat_map (fun p -> [ fst p.pr_src; p.pr_dst ]) properties)

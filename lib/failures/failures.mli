@@ -141,10 +141,10 @@ val cold_outcome : cold -> properties:property list -> scenario -> outcome
 (** [run ~k ~options ~env ~configs_list ~find ~base_dp ~base_fq ()] explores
     every failure scenario up to size [k] (1 or 2). [prune] (default true)
     enables atom-equivalence pruning, degrading gracefully (with a
-    [code_pruning_disabled] diag) when the graph has transformation edges or
-    the atom partition exceeds [max_atoms]. With a [pool] (or [domains] > 1)
-    representatives fan out across workers; per-scenario work itself always
-    runs serial. *)
+    [code_pruning_disabled] diag naming the cause) when the graph has
+    transformation edges or the atom partition exceeds [max_atoms]. With a
+    [pool] (or [domains] > 1) representatives fan out across workers;
+    per-scenario work itself always runs serial. *)
 val run :
   ?pool:Par.Pool.t ->
   ?domains:int ->

@@ -229,6 +229,138 @@ let apt_matches_bdd () =
     check Alcotest.bool "apt = bdd on clean headers" true
       (Bdd.equal (Bdd.band man apt_reach clean) (Bdd.band man deliver.(src) clean))
 
+(* --- labelled atomization vs the plain refinement it replaced --- *)
+
+(* The plain refinement, kept only as a test oracle: every atom is split by
+   [band]/[bdiff] against every predicate, then each predicate's atom set
+   is rebuilt by a second [band] pass. Returns the atoms and each edge's
+   atom bitset, or [None] where [Apt.try_build] refuses. *)
+let plain_atomization ~max_atoms g =
+  let man = Pktset.man g.Fgraph.env in
+  let exception Refused in
+  let rec filter_of = function
+    | Fgraph.Filter f -> f
+    | Fgraph.Seq fns ->
+      List.fold_left (fun acc fn -> Bdd.band man acc (filter_of fn)) Bdd.top fns
+    | Fgraph.Set_extra _ | Fgraph.Erase_extra _ -> Bdd.top
+    | Fgraph.Transform _ -> raise Refused
+  in
+  let set b i =
+    Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
+  in
+  try
+    let predicates = Hashtbl.create 64 in
+    Array.iter
+      (List.iter (fun (e : Fgraph.edge) -> Hashtbl.replace predicates (filter_of e.e_fn) ()))
+      g.Fgraph.out_edges;
+    let atoms = ref [ Bdd.top ] in
+    Hashtbl.iter
+      (fun p () ->
+        if not (Bdd.is_top p || Bdd.is_bot p) then begin
+          atoms :=
+            List.concat_map
+              (fun a ->
+                (* sequenced: node ids depend on which runs first *)
+                let inside = Bdd.band man a p in
+                let outside = Bdd.bdiff man a p in
+                List.filter (fun x -> not (Bdd.is_bot x)) [ inside; outside ])
+              !atoms;
+          if List.length !atoms > max_atoms then raise Refused
+        end)
+      predicates;
+    let atoms = Array.of_list !atoms in
+    let n = Array.length atoms in
+    let pred_sets = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun p () ->
+        let b = Bytes.make ((n + 7) / 8) '\000' in
+        Array.iteri (fun i a -> if Bdd.equal (Bdd.band man a p) a then set b i) atoms;
+        Hashtbl.add pred_sets p b)
+      predicates;
+    let edge_atoms = Hashtbl.create 256 in
+    Array.iteri
+      (fun v edges ->
+        List.iteri
+          (fun k (e : Fgraph.edge) ->
+            Hashtbl.replace edge_atoms (v, e.e_to, k)
+              (Hashtbl.find pred_sets (filter_of e.e_fn)))
+          edges)
+      g.Fgraph.out_edges;
+    Some (atoms, edge_atoms)
+  with Refused -> None
+
+(* Builds the forwarding graph of [find]/[dp] twice, each into a fresh
+   manager, atomizes one with the oracle and the other with [Apt], and
+   checks the two agree id for id, bitset for bitset, and on the number of
+   nodes their managers hold afterwards. Returns whether a partition was
+   built. *)
+let atomization_matches name ~find ~dp =
+  let max_atoms = 4096 in
+  let g_old = Fgraph.build ~configs:find ~dp () in
+  let old = plain_atomization ~max_atoms g_old in
+  let g_new = Fgraph.build ~configs:find ~dp () in
+  let built = Apt.try_build ~max_atoms g_new in
+  let nodes g = Bdd.node_count (Pktset.man g.Fgraph.env) in
+  check Alcotest.int (name ^ ": node count") (nodes g_old) (nodes g_new);
+  match (old, built) with
+  | None, Error _ -> false
+  | Some _, Error why ->
+    Alcotest.failf "%s: refused (%s) where the oracle built" name
+      (Apt.refusal_to_string why)
+  | None, Ok _ -> Alcotest.failf "%s: built where the oracle refused" name
+  | Some (atoms, edge_atoms), Ok apt ->
+    let n = Apt.atom_count apt in
+    (* atom i back as a BDD: the union of the singleton set {i} *)
+    let atom i =
+      let b = Bytes.make ((n + 7) / 8) '\000' in
+      Bytes.set b (i / 8) (Char.chr (1 lsl (i mod 8)));
+      Apt.atoms_to_bdd apt b
+    in
+    check Alcotest.(array int) (name ^ ": atoms") atoms (Array.init n atom);
+    let edges =
+      Apt.fold_edge_atoms apt
+        (fun key bits acc ->
+          (match Hashtbl.find_opt edge_atoms key with
+          | Some b when Bytes.equal b bits -> ()
+          | Some _ | None -> Alcotest.failf "%s: edge bitset differs" name);
+          acc + 1)
+        0
+    in
+    check Alcotest.int (name ^ ": edges") (Hashtbl.length edge_atoms) edges;
+    true
+
+let session (net : Netgen.network) =
+  let snap = Batfish.Snapshot.of_texts net.Netgen.n_configs in
+  let dp = Dataplane.compute ~env:net.Netgen.n_env (Batfish.Snapshot.configs snap) in
+  (Batfish.Snapshot.find snap, dp)
+
+let atomization_profiles () =
+  let built = ref 0 in
+  List.iter
+    (fun (p : Netgen.profile) ->
+      List.iter
+        (fun scale ->
+          let find, dp = session (p.Netgen.p_make scale) in
+          let name = Printf.sprintf "%s x%g" p.Netgen.p_name scale in
+          if atomization_matches name ~find ~dp then incr built)
+        [ 0.1; 0.25 ])
+    Netgen.profiles;
+  check Alcotest.bool "compared real partitions" true (!built >= 10)
+
+let atomization_chaos () =
+  let compared = ref 0 in
+  for seed = 1 to 20 do
+    let rng = Rng.create (7000 + seed) in
+    let net = Netgen.clos ~name:"achaos" ~spines:2 ~leaves:4 () in
+    let mutated, _ = Chaos.mutate_network ~rng ~mutations:2 net in
+    match session mutated with
+    | exception _ -> () (* the mutation broke base analysis: not this test *)
+    | find, dp ->
+      if atomization_matches (Printf.sprintf "chaos seed %d" seed) ~find ~dp then
+        incr compared
+  done;
+  check Alcotest.int "every variant built a partition" 20 !compared
+
 let suites =
   [ ( "datalog.engine",
       [ Alcotest.test_case "transitive closure" `Quick datalog_tc;
@@ -240,4 +372,9 @@ let suites =
       [ cube_intersect_semantics; cube_subtract_semantics; cube_port_range ] );
     ( "hsa.engine",
       [ hsa_matches_bdd; Alcotest.test_case "multipath" `Quick hsa_multipath ] );
-    ("apt", [ Alcotest.test_case "reach = bdd" `Quick apt_matches_bdd ]) ]
+    ( "apt",
+      [ Alcotest.test_case "reach = bdd" `Quick apt_matches_bdd;
+        Alcotest.test_case "labelled = plain atomization, every profile" `Slow
+          atomization_profiles;
+        Alcotest.test_case "labelled = plain atomization, 20 chaos variants"
+          `Slow atomization_chaos ] ) ]

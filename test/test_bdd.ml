@@ -92,6 +92,35 @@ let diff_is_and_not =
       let a = build m e1 and b = build m e2 in
       Bdd.equal (Bdd.bdiff m a b) (Bdd.band m a (Bdd.bnot m b)))
 
+(* The relation kernels agree with the allocating operations and create no
+   node. Each kernel runs before its reference operation, and the three
+   random pairs come first, while none of their conjunctions exists yet.
+   The derived pairs that follow make the true cases common: [a ∧ b ≤ a],
+   and [a ∧ b] is disjoint from [a ∧ ¬b]. *)
+let kernel_agrees kernel reference (e1, e2, e3) =
+  let m = Bdd.create ~nvars:nv () in
+  let a = build m e1 and b = build m e2 and c = build m e3 in
+  let agrees (x, y) =
+    let before = Bdd.node_count m in
+    let r = kernel m x y in
+    Bdd.node_count m = before && r = reference m x y
+  in
+  List.for_all agrees [ (a, b); (b, c); (c, a) ]
+  &&
+  let ab = Bdd.band m a b and a_b = Bdd.bdiff m a b in
+  List.for_all agrees
+    [ (ab, a); (a, ab); (ab, a_b); (a_b, ab); (a, a); (a, Bdd.bot); (Bdd.top, a) ]
+
+let expr_triple = QCheck.triple expr_arb expr_arb expr_arb
+
+let intersects_is_and =
+  qtest "intersects = and is not bot" expr_triple
+    (kernel_agrees Bdd.intersects (fun m x y -> not (Bdd.is_bot (Bdd.band m x y))))
+
+let leq_is_diff =
+  qtest "leq = diff is bot" expr_triple
+    (kernel_agrees Bdd.leq (fun m x y -> Bdd.is_bot (Bdd.bdiff m x y)))
+
 let exists_semantics =
   qtest "exists = or of cofactors" expr_arb (fun e ->
       let m = Bdd.create ~nvars:nv () in
@@ -258,7 +287,8 @@ let suites =
   [ ( "bdd.core",
       [ Alcotest.test_case "units" `Quick units;
         Alcotest.test_case "growth" `Quick node_growth;
-        semantics; canonicity; de_morgan; double_negation; diff_is_and_not ] );
+        semantics; canonicity; de_morgan; double_negation; diff_is_and_not;
+        intersects_is_and; leq_is_diff ] );
     ( "bdd.quantify",
       [ exists_semantics; exists_removes_support; and_exists_fusion;
         replace_shift; transform_fused_matches_unfused ] );

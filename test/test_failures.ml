@@ -20,9 +20,10 @@ let setup ?(scale = 0.25) (p : Netgen.profile) =
   let q = Fquery.make ~configs:find ~dp () in
   (net, configs_list, find, dp, q)
 
-let sweep ?pool ?domains ?prune ?options ~k (net, configs_list, find, dp, q) =
+let sweep ?pool ?domains ?prune ?max_atoms ?options ~k
+    (net, configs_list, find, dp, q) =
   let options = Option.value options ~default:Dataplane.default_options in
-  Failures.run ?pool ?domains ?prune ~k ~options ~env:net.Netgen.n_env
+  Failures.run ?pool ?domains ?prune ?max_atoms ~k ~options ~env:net.Netgen.n_env
     ~configs_list ~find ~base_dp:dp ~base_fq:q ()
 
 (* --- enumeration shape --------------------------------------------------- *)
@@ -248,6 +249,32 @@ let inconclusive_never_aborts () =
            r.Failures.rp_inconclusive))
     r.Failures.rp_failing
 
+(* --- a refused partition names its cause ---------------------------------- *)
+
+let pruning_refusal_named () =
+  let disabled (r : Failures.report) =
+    List.filter_map
+      (fun d ->
+        if d.Diag.d_code = Diag.code_pruning_disabled then Some d.Diag.d_message
+        else None)
+      r.Failures.rp_diags
+  in
+  (* NET1's border router NATs inside sources *)
+  let nat = sweep ~k:1 (setup ~scale:0.1 (profile "NET1")) in
+  check Alcotest.bool "NAT: pruning off" false nat.Failures.rp_pruning;
+  check Alcotest.(list string) "NAT: diag names transformation edges"
+    [ "atom partition unavailable (the forwarding graph has transformation \
+       (NAT) edges); checking every scenario" ]
+    (disabled nat);
+  let capped = sweep ~max_atoms:2 ~k:1 (setup ~scale:0.1 (profile "NET3")) in
+  check Alcotest.bool "cap: pruning off" false capped.Failures.rp_pruning;
+  check Alcotest.(list string) "cap: diag names the atom cap"
+    [ "atom partition unavailable (refinement exceeded the cap of 2 atoms); \
+       checking every scenario" ]
+    (disabled capped);
+  check Alcotest.(list string) "default cap: no diag" []
+    (disabled (sweep ~k:1 (setup ~scale:0.1 (profile "NET3"))))
+
 (* --- the session surface ------------------------------------------------- *)
 
 let session_surface () =
@@ -291,5 +318,7 @@ let suites =
           pool_sweep_identical;
         Alcotest.test_case "inconclusive never aborts" `Quick
           inconclusive_never_aborts;
-        Alcotest.test_case "answer_failures surface" `Quick session_surface ] )
+        Alcotest.test_case "answer_failures surface" `Quick session_surface;
+        Alcotest.test_case "refused partition names its cause" `Quick
+          pruning_refusal_named ] )
   ]
