@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench-smoke bench-sweep bench-daemon bench-failures check clean
+.PHONY: all build test lint bench-smoke bench-sweep bench-daemon bench-failures bench-cold check clean
 
 all: build
 
@@ -46,6 +46,15 @@ bench-daemon:
 # Prints the one-line JSON result.
 bench-failures:
 	python3 perfbench/run.py --workload failure-sweep --seed 1
+
+# The cold-snapshot workload of the pipeline benchmark (perfbench/): a fresh
+# session per op over a seeded NET8 x0.5 variant, every scratch stage from
+# parse to lint. At seed 1 every op's answers and counters, bdd.nodes
+# included, are checked against perfbench/digests/, so a BDD kernel change
+# that creates a single node more, fewer or in another order fails here.
+# Prints the one-line JSON result.
+bench-cold:
+	python3 perfbench/run.py --workload cold-snapshot --seed 1
 
 # The full gate: everything compiles, every test passes (which includes
 # linting the example fixtures via the runtest alias), and the bench smoke

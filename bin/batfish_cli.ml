@@ -449,14 +449,15 @@ let verify_cmd =
           Printf.printf "inconclusive: %s: %s\n" (Failures.scenario_to_string sc) why)
         report.Failures.rp_inconclusive
     end;
-    (* Engine counters for CI logs: op-cache health of the main manager,
-       session-pool usage, and worker-resident graph reuse. *)
+    (* Engine counters for CI logs, on stderr so that stdout holds only the
+       answers: op-cache health of the main manager, session-pool usage,
+       and worker-resident graph reuse. *)
     (match Batfish.try_forwarding bf with
      | Error _ -> ()
      | Ok fq ->
        let cs = Bdd.cache_stats (Pktset.man (Fquery.env fq)) in
        let lookups = cs.Bdd.cs_hits + cs.Bdd.cs_misses in
-       Printf.printf
+       Printf.eprintf
          "bdd op-cache: %d/%d lookups hit (%.1f%%), %d/%d entries filled (%.1f%%)\n"
          cs.Bdd.cs_hits lookups
          (if lookups = 0 then 0.0
@@ -470,7 +471,7 @@ let verify_cmd =
        | None -> ()
        | Some (ratio, classes, _) ->
          let passes, fallbacks = Fquery.compress_stats fq in
-         Printf.printf
+         Printf.eprintf
            "quotient compression: %d classes over %d locations (ratio %.2f), \
             %d compressed pass(es), %d fallback(s)\n"
            classes
@@ -480,7 +481,7 @@ let verify_cmd =
      | None -> ()
      | Some (workers, jobs) ->
        let imports, reuses = Fpar.worker_stats () in
-       Printf.printf
+       Printf.eprintf
          "worker pool: %d workers, %d jobs; graphs imported %d, reused warm %d\n"
          workers jobs imports reuses);
     Batfish.shutdown bf

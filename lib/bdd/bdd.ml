@@ -1,12 +1,30 @@
-(* Nodes live in parallel int arrays indexed by node id; ids 0 and 1 are the
-   terminals. The unique table is an open-addressing array of (id + 1) values
-   keyed by (var, lo, hi), so BDDs are canonical and equality is integer
-   equality. A single 2-way set-associative cache serves all operations,
-   keyed by an operation code that embeds auxiliary ids (variable sets,
-   renamings): entry slots [2s] (MRU way) and [2s+1] (victim way) form set
-   [s], so two hot keys hashing to the same set coexist instead of evicting
-   each other — direct mapping left the op cache at ~12% hit rate under the
-   all-pairs workload. *)
+(* Storage is three packed tables of native-endian 32-bit values in [Bytes],
+   read and written through [Bytes.get_int32_ne]/[set_int32_ne], which
+   ocamlopt compiles to plain loads and stores without boxing. The GC never
+   scans a [Bytes] block, so a large manager costs the major marker nothing.
+
+   - Nodes: one [(var, lo, hi)] triple per id, 12 bytes, so a probe
+     usually reads one cache line. Ids 0 and 1 are the terminals.
+   - Unique table: open addressing over 4-byte buckets holding [id + 1]
+     (0 = empty), keyed by [(var, lo, hi)] and probed linearly, so BDDs are
+     canonical and equality is integer equality.
+   - Op cache: one table of 16-byte [(op, a, b, result)] entries (op -1 =
+     empty) serving every operation, keyed by an operation code that embeds
+     auxiliary ids (variable sets, renamings). It is 2-way set-associative:
+     entries [2s] (MRU way) and [2s+1] (victim way) form set [s], 32
+     contiguous bytes, so two hot keys hashing to the same set coexist
+     instead of evicting each other — direct mapping left the op cache at
+     ~12% hit rate under the all-pairs workload.
+
+   Every stored value is a node id, a variable level or an op code, each
+   kept below 2^31; reaching a limit raises [Invalid_argument], never wraps.
+
+   Node ids and the cache counters are fixed by policy, never by layout:
+   [uhash] and the linear-probe order, id assignment in [mk], the cache set
+   hash with MRU promotion and victim demotion, the 0xFFF pressure window
+   with its 60% growth rule, [cache_grow]'s victim-then-MRU re-insertion,
+   and every apply recursion. A storage change must leave all of them as
+   they are; the benchmark digests pin [bdd.nodes] per op. *)
 
 type t = int
 
@@ -14,17 +32,12 @@ type varset = { vs_id : int; vs_mem : bool array }
 type perm = { pm_id : int; pm_map : int array }
 
 type man = {
-  mutable var : int array;
-  mutable lo : int array;
-  mutable hi : int array;
+  mutable nodes : Bytes.t;
   mutable n : int;
-  mutable buckets : int array;
+  mutable buckets : Bytes.t;
   mutable bmask : int;
   nvars : int;
-  mutable ck_op : int array;
-  mutable ck_a : int array;
-  mutable ck_b : int array;
-  mutable cv : int array;
+  mutable cache : Bytes.t;
   mutable cmask : int;
   cmask_max : int;
   mutable filled : int;
@@ -33,8 +46,32 @@ type man = {
   mutable win_hits : int;
   mutable win_misses : int;
   mutable next_aux : int;
+  transform_ids : (int, int) Hashtbl.t;
   mutable identity : perm option;
 }
+
+let[@inline] get32 b off = Int32.to_int (Bytes.get_int32_ne b off)
+let[@inline] set32 b off x = Bytes.set_int32_ne b off (Int32.of_int x)
+
+let node_bytes = 12
+let entry_bytes = 16
+
+(* ids and levels are stored as non-negative int32 (and buckets hold
+   [id + 1]), so both stay below 2^31 - 1 *)
+let max_nodes = 0x7FFF_FFFF
+
+(* An op code is a 4-bit op kind below a 27-bit auxiliary id, so every
+   code fits the 31 bits of an entry's op field and two codes are equal only
+   if kind and id both are. The ids are varset/perm ids, restrict literals
+   [2v + b] (hence the level bound) and interned transform pairs. *)
+let aux_bits = 27
+let max_aux = 1 lsl aux_bits
+let max_levels = 1 lsl (aux_bits - 1)
+let[@inline] op_code kind id = kind lor (id lsl 4)
+
+let[@inline] level m id = get32 m.nodes (id * node_bytes)
+let[@inline] low m id = get32 m.nodes ((id * node_bytes) + 4)
+let[@inline] high m id = get32 m.nodes ((id * node_bytes) + 8)
 
 let bot = 0
 let top = 1
@@ -88,29 +125,30 @@ let register_manager m =
     registry := bigger);
   Mutex.unlock registry_mutex
 
+(* An empty op-cache table: every byte 0xFF, so every op field reads -1. *)
+let empty_cache entries = Bytes.make (entries * entry_bytes) '\xff'
+
 let create ?(cache_bits = 18) ?(max_cache_bits = 22) ~nvars () =
+  if nvars < 0 || nvars > max_levels then invalid_arg "Bdd.create: nvars";
   let cap = 1024 in
   (* the 2-way layout needs at least one full set (two entries) *)
   let cache_bits = max 1 cache_bits in
   let max_cache_bits = max cache_bits max_cache_bits in
   let m =
-    { var = Array.make cap 0; lo = Array.make cap 0; hi = Array.make cap 0;
+    { nodes = Bytes.make (cap * node_bytes) '\000';
       n = 2;
-      buckets = Array.make 4096 0; bmask = 4095;
+      buckets = Bytes.make (4096 * 4) '\000'; bmask = 4095;
       nvars;
-      ck_op = Array.make (1 lsl cache_bits) (-1);
-      ck_a = Array.make (1 lsl cache_bits) 0;
-      ck_b = Array.make (1 lsl cache_bits) 0;
-      cv = Array.make (1 lsl cache_bits) 0;
+      cache = empty_cache (1 lsl cache_bits);
       cmask = (1 lsl cache_bits) - 1;
       cmask_max = (1 lsl max_cache_bits) - 1;
       filled = 0;
       hits = 0; misses = 0; win_hits = 0; win_misses = 0;
-      next_aux = 0; identity = None }
+      next_aux = 0; transform_ids = Hashtbl.create 8; identity = None }
   in
   (* Terminals sit below every real variable. *)
-  m.var.(0) <- nvars;
-  m.var.(1) <- nvars;
+  set32 m.nodes 0 nvars;
+  set32 m.nodes node_bytes nvars;
   register_manager m;
   m
 
@@ -134,25 +172,19 @@ let uhash v l h mask =
 
 let rehash m =
   let nmask = (m.bmask * 2) + 1 in
-  let nb = Array.make (nmask + 1) 0 in
+  let nb = Bytes.make ((nmask + 1) * 4) '\000' in
   for id = 2 to m.n - 1 do
-    let j = ref (uhash m.var.(id) m.lo.(id) m.hi.(id) nmask) in
-    while nb.(!j) <> 0 do
+    let j = ref (uhash (level m id) (low m id) (high m id) nmask) in
+    while get32 nb (!j * 4) <> 0 do
       j := (!j + 1) land nmask
     done;
-    nb.(!j) <- id + 1
+    set32 nb (!j * 4) (id + 1)
   done;
   m.buckets <- nb;
   m.bmask <- nmask
 
-let grow m =
-  let cap = Array.length m.var in
-  let ncap = cap * 2 in
-  let extend a = Array.append a (Array.make cap 0) in
-  m.var <- extend m.var;
-  m.lo <- extend m.lo;
-  m.hi <- extend m.hi;
-  ignore ncap
+(* The appended half is left uninitialized: only ids below [m.n] are read. *)
+let grow m = m.nodes <- Bytes.extend m.nodes 0 (Bytes.length m.nodes)
 
 let mk m v l h =
   if l = h then l
@@ -161,20 +193,22 @@ let mk m v l h =
     let j = ref (uhash v l h m.bmask) in
     let result = ref (-1) in
     while !result < 0 do
-      let b = m.buckets.(!j) in
+      let b = get32 m.buckets (!j * 4) in
       if b = 0 then begin
-        if m.n >= Array.length m.var then grow m;
         let id = m.n in
+        if id >= max_nodes then invalid_arg "Bdd: node table full (2^31 - 1 ids)";
+        if id * node_bytes >= Bytes.length m.nodes then grow m;
         m.n <- id + 1;
-        m.var.(id) <- v;
-        m.lo.(id) <- l;
-        m.hi.(id) <- h;
-        m.buckets.(!j) <- id + 1;
+        let off = id * node_bytes in
+        set32 m.nodes off v;
+        set32 m.nodes (off + 4) l;
+        set32 m.nodes (off + 8) h;
+        set32 m.buckets (!j * 4) (id + 1);
         result := id
       end
       else begin
         let id = b - 1 in
-        if m.var.(id) = v && m.lo.(id) = l && m.hi.(id) = h then result := id
+        if level m id = v && low m id = l && high m id = h then result := id
         else j := (!j + 1) land m.bmask
       end
     done;
@@ -190,11 +224,10 @@ let nvar m v =
   mk m v 1 0
 
 let ite_raw m v l h =
-  assert (v < m.var.(l) && v < m.var.(h));
+  assert (v < level m l && v < level m h);
   mk m v l h
 
-(* Operation codes for the shared cache. Auxiliary ids (varsets, perms) are
-   packed into high bits so distinct quantifications never collide. *)
+(* Op kinds for the shared cache; see [op_code]. *)
 let op_and = 0
 let op_or = 1
 let op_xor = 2
@@ -214,37 +247,40 @@ let op_leq = 12
    warm entries into the new table. Growth only changes what is recomputed,
    never what is computed: results are canonical node ids either way. *)
 
-(* Insert into set [s] of the new arrays with MRU-way preference: way 0 is
-   demoted to way 1 before the incoming entry takes way 0. *)
-let cache_insert_raw ck_op ck_a ck_b cv s op a b r =
-  let i0 = s * 2 and i1 = (s * 2) + 1 in
-  let delta = (if ck_op.(i1) >= 0 then 0 else 1) in
-  if ck_op.(i0) >= 0 then begin
-    ck_op.(i1) <- ck_op.(i0);
-    ck_a.(i1) <- ck_a.(i0);
-    ck_b.(i1) <- ck_b.(i0);
-    cv.(i1) <- cv.(i0);
-    ck_op.(i0) <- op;
-    ck_a.(i0) <- a;
-    ck_b.(i0) <- b;
-    cv.(i0) <- r;
+(* Entry [i] of a cache table starts at byte [16 * i]: op, a, b, result. *)
+let[@inline] write_entry c off op a b r =
+  set32 c off op;
+  set32 c (off + 4) a;
+  set32 c (off + 8) b;
+  set32 c (off + 12) r
+
+(* Copy a whole 16-byte entry as two 64-bit words. *)
+let[@inline] copy_entry c src dst =
+  Bytes.set_int64_ne c dst (Bytes.get_int64_ne c src);
+  Bytes.set_int64_ne c (dst + 8) (Bytes.get_int64_ne c (src + 8))
+
+(* Insert into set [s] of table [c] with MRU-way preference: way 0 is
+   demoted to way 1 before the incoming entry takes way 0. Returns how many
+   empty entries the insert filled. *)
+let cache_insert_raw c s op a b r =
+  let o0 = s * 2 * entry_bytes in
+  let o1 = o0 + entry_bytes in
+  let delta = (if get32 c o1 >= 0 then 0 else 1) in
+  if get32 c o0 >= 0 then begin
+    copy_entry c o0 o1;
+    write_entry c o0 op a b r;
     delta
   end
   else begin
-    ck_op.(i0) <- op;
-    ck_a.(i0) <- a;
-    ck_b.(i0) <- b;
-    cv.(i0) <- r;
+    write_entry c o0 op a b r;
     1
   end
 
 let cache_grow m =
   let nmask = (m.cmask * 2) + 1 in
-  let ck_op = Array.make (nmask + 1) (-1) in
-  let ck_a = Array.make (nmask + 1) 0 in
-  let ck_b = Array.make (nmask + 1) 0 in
-  let cv = Array.make (nmask + 1) 0 in
+  let c = empty_cache (nmask + 1) in
   let smask = nmask lsr 1 in
+  let old = m.cache in
   let filled = ref 0 in
   (* Re-insert victim ways first and MRU ways second, so entries that were
      recently used land in the MRU way of their new set. *)
@@ -252,21 +288,17 @@ let cache_grow m =
     (fun way ->
       let i = ref way in
       while !i <= m.cmask do
-        let op = m.ck_op.(!i) in
+        let off = !i * entry_bytes in
+        let op = get32 old off in
         if op >= 0 then begin
-          let s = uhash op m.ck_a.(!i) m.ck_b.(!i) smask in
-          filled :=
-            !filled
-            + cache_insert_raw ck_op ck_a ck_b cv s op m.ck_a.(!i) m.ck_b.(!i)
-                m.cv.(!i)
+          let a = get32 old (off + 4) and b = get32 old (off + 8) in
+          let s = uhash op a b smask in
+          filled := !filled + cache_insert_raw c s op a b (get32 old (off + 12))
         end;
         i := !i + 2
       done)
     [ 1; 0 ];
-  m.ck_op <- ck_op;
-  m.ck_a <- ck_a;
-  m.ck_b <- ck_b;
-  m.cv <- cv;
+  m.cache <- c;
   m.cmask <- nmask;
   m.filled <- !filled
 
@@ -281,28 +313,22 @@ let cache_pressure_check m =
   end
 
 let cache_find m op a b =
-  let s = uhash op a b (m.cmask lsr 1) in
-  let i0 = s * 2 in
-  if m.ck_op.(i0) = op && m.ck_a.(i0) = a && m.ck_b.(i0) = b then begin
+  let c = m.cache in
+  let o0 = uhash op a b (m.cmask lsr 1) * 2 * entry_bytes in
+  if get32 c o0 = op && get32 c (o0 + 4) = a && get32 c (o0 + 8) = b then begin
     m.hits <- m.hits + 1;
     m.win_hits <- m.win_hits + 1;
-    m.cv.(i0)
+    get32 c (o0 + 12)
   end
   else begin
-    let i1 = i0 + 1 in
-    if m.ck_op.(i1) = op && m.ck_a.(i1) = a && m.ck_b.(i1) = b then begin
+    let o1 = o0 + entry_bytes in
+    if get32 c o1 = op && get32 c (o1 + 4) = a && get32 c (o1 + 8) = b then begin
       m.hits <- m.hits + 1;
       m.win_hits <- m.win_hits + 1;
-      let r = m.cv.(i1) in
+      let r = get32 c (o1 + 12) in
       (* promote: swap ways so a re-used entry survives the next store *)
-      m.ck_op.(i1) <- m.ck_op.(i0);
-      m.ck_a.(i1) <- m.ck_a.(i0);
-      m.ck_b.(i1) <- m.ck_b.(i0);
-      m.cv.(i1) <- m.cv.(i0);
-      m.ck_op.(i0) <- op;
-      m.ck_a.(i0) <- a;
-      m.ck_b.(i0) <- b;
-      m.cv.(i0) <- r;
+      copy_entry c o0 o1;
+      write_entry c o0 op a b r;
       r
     end
     else begin
@@ -315,7 +341,7 @@ let cache_find m op a b =
 
 let cache_store m op a b r =
   let s = uhash op a b (m.cmask lsr 1) in
-  m.filled <- m.filled + cache_insert_raw m.ck_op m.ck_a m.ck_b m.cv s op a b r
+  m.filled <- m.filled + cache_insert_raw m.cache s op a b r
 
 let rec bnot m a =
   if a = 0 then 1
@@ -324,7 +350,7 @@ let rec bnot m a =
     let r = cache_find m op_not a 0 in
     if r >= 0 then r
     else begin
-      let res = mk m m.var.(a) (bnot m m.lo.(a)) (bnot m m.hi.(a)) in
+      let res = mk m (level m a) (bnot m (low m a)) (bnot m (high m a)) in
       cache_store m op_not a 0 res;
       res
     end
@@ -363,10 +389,10 @@ let rec apply m op a b =
     let r = cache_find m op a b in
     if r >= 0 then r
     else begin
-      let va = m.var.(a) and vb = m.var.(b) in
+      let va = level m a and vb = level m b in
       let v = if va < vb then va else vb in
-      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
-      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let a0, a1 = if va = v then (low m a, high m a) else (a, a) in
+      let b0, b1 = if vb = v then (low m b, high m b) else (b, b) in
       let r0 = apply m op a0 b0 in
       let r1 = apply m op a1 b1 in
       let res = mk m v r0 r1 in
@@ -389,10 +415,10 @@ let rec band_rec m a b =
     let r = cache_find m op_and a b in
     if r >= 0 then r
     else begin
-      let va = m.var.(a) and vb = m.var.(b) in
+      let va = level m a and vb = level m b in
       let v = if va < vb then va else vb in
-      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
-      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let a0, a1 = if va = v then (low m a, high m a) else (a, a) in
+      let b0, b1 = if vb = v then (low m b, high m b) else (b, b) in
       let r0 = band_rec m a0 b0 in
       let r1 = band_rec m a1 b1 in
       let res = mk m v r0 r1 in
@@ -411,10 +437,10 @@ let rec bor_rec m a b =
     let r = cache_find m op_or a b in
     if r >= 0 then r
     else begin
-      let va = m.var.(a) and vb = m.var.(b) in
+      let va = level m a and vb = level m b in
       let v = if va < vb then va else vb in
-      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
-      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let a0, a1 = if va = v then (low m a, high m a) else (a, a) in
+      let b0, b1 = if vb = v then (low m b, high m b) else (b, b) in
       let r0 = bor_rec m a0 b0 in
       let r1 = bor_rec m a1 b1 in
       let res = mk m v r0 r1 in
@@ -434,10 +460,10 @@ let rec intersects m a b =
     let r = cache_find m op_intersects a b in
     if r >= 0 then r = 1
     else begin
-      let va = m.var.(a) and vb = m.var.(b) in
+      let va = level m a and vb = level m b in
       let v = if va < vb then va else vb in
-      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
-      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let a0, a1 = if va = v then (low m a, high m a) else (a, a) in
+      let b0, b1 = if vb = v then (low m b, high m b) else (b, b) in
       let res = intersects m a0 b0 || intersects m a1 b1 in
       cache_store m op_intersects a b (Bool.to_int res);
       res
@@ -451,10 +477,10 @@ let rec leq m a b =
     let r = cache_find m op_leq a b in
     if r >= 0 then r = 1
     else begin
-      let va = m.var.(a) and vb = m.var.(b) in
+      let va = level m a and vb = level m b in
       let v = if va < vb then va else vb in
-      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
-      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let a0, a1 = if va = v then (low m a, high m a) else (a, a) in
+      let b0, b1 = if vb = v then (low m b, high m b) else (b, b) in
       let res = leq m a0 b0 && leq m a1 b1 in
       cache_store m op_leq a b (Bool.to_int res);
       res
@@ -472,6 +498,7 @@ let disj m l = List.fold_left (bor m) bot l
 
 let fresh_aux m =
   let id = m.next_aux in
+  if id >= max_aux then invalid_arg "Bdd: varset/perm ids exhausted (2^27)";
   m.next_aux <- id + 1;
   id
 
@@ -501,12 +528,12 @@ let rec exists_rec m code vs a =
     let r = cache_find m code a 0 in
     if r >= 0 then r
     else begin
-      let v = m.var.(a) in
-      let r0 = exists_rec m code vs m.lo.(a) in
+      let v = level m a in
+      let r0 = exists_rec m code vs (low m a) in
       let res =
         if vs.vs_mem.(v) && r0 = 1 then 1
         else
-          let r1 = exists_rec m code vs m.hi.(a) in
+          let r1 = exists_rec m code vs (high m a) in
           if vs.vs_mem.(v) then bor m r0 r1 else mk m v r0 r1
       in
       cache_store m code a 0 res;
@@ -514,7 +541,7 @@ let rec exists_rec m code vs a =
     end
   end
 
-let exists m vs a = exists_rec m (op_exists lor (vs.vs_id lsl 4)) vs a
+let exists m vs a = exists_rec m (op_code op_exists vs.vs_id) vs a
 
 let rec replace_rec m code pm a =
   if a <= 1 then a
@@ -523,15 +550,15 @@ let rec replace_rec m code pm a =
     if r >= 0 then r
     else begin
       let res =
-        mk m pm.pm_map.(m.var.(a)) (replace_rec m code pm m.lo.(a))
-          (replace_rec m code pm m.hi.(a))
+        mk m pm.pm_map.(level m a) (replace_rec m code pm (low m a))
+          (replace_rec m code pm (high m a))
       in
       cache_store m code a 0 res;
       res
     end
   end
 
-let replace m pm a = replace_rec m (op_replace lor (pm.pm_id lsl 4)) pm a
+let replace m pm a = replace_rec m (op_code op_replace pm.pm_id) pm a
 
 (* Relational product with an optional fused renaming: computes
    rename(exists vs (a ∧ b)) in one traversal. [pm] may be the identity. *)
@@ -543,10 +570,10 @@ let rec andex_rec m code vs pm a b =
     let r = cache_find m code a b in
     if r >= 0 then r
     else begin
-      let va = m.var.(a) and vb = m.var.(b) in
+      let va = level m a and vb = level m b in
       let v = if va < vb then va else vb in
-      let a0, a1 = if va = v then (m.lo.(a), m.hi.(a)) else (a, a) in
-      let b0, b1 = if vb = v then (m.lo.(b), m.hi.(b)) else (b, b) in
+      let a0, a1 = if va = v then (low m a, high m a) else (a, a) in
+      let b0, b1 = if vb = v then (low m b, high m b) else (b, b) in
       let r0 = andex_rec m code vs pm a0 b0 in
       let res =
         if vs.vs_mem.(v) then
@@ -567,10 +594,22 @@ let identity_perm m =
     pm
 
 let and_exists m vs a b =
-  andex_rec m (op_andex lor (vs.vs_id lsl 4)) vs (identity_perm m) a b
+  andex_rec m (op_code op_andex vs.vs_id) vs (identity_perm m) a b
+
+(* A transform is keyed by its (quant, rename) pair, interned into a dense
+   per-manager id: packing both ids into one code would not fit 27 bits. *)
+let transform_id m quant rename =
+  let key = (quant.vs_id lsl aux_bits) lor rename.pm_id in
+  match Hashtbl.find_opt m.transform_ids key with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length m.transform_ids in
+    if id >= max_aux then invalid_arg "Bdd.transform: pair ids exhausted (2^27)";
+    Hashtbl.add m.transform_ids key id;
+    id
 
 let transform m ~rel ~quant ~rename a =
-  let code = op_transform lor (quant.vs_id lsl 4) lor (rename.pm_id lsl 20) in
+  let code = op_code op_transform (transform_id m quant rename) in
   andex_rec m code quant rename a rel
 
 let transform_unfused m ~rel ~quant ~rename a =
@@ -585,9 +624,9 @@ let rec compose_rec m code pm a =
     let r = cache_find m code a 0 in
     if r >= 0 then r
     else begin
-      let v' = pm.pm_map.(m.var.(a)) in
-      let lo = compose_rec m code pm m.lo.(a) in
-      let hi = compose_rec m code pm m.hi.(a) in
+      let v' = pm.pm_map.(level m a) in
+      let lo = compose_rec m code pm (low m a) in
+      let hi = compose_rec m code pm (high m a) in
       let x = mk m v' 0 1 in
       (* ite x hi lo *)
       let res = apply m op_or (apply m op_and x hi) (apply m op_diff lo x) in
@@ -596,18 +635,18 @@ let rec compose_rec m code pm a =
     end
   end
 
-let compose_perm m pm a = compose_rec m (op_compose lor (pm.pm_id lsl 4)) pm a
+let compose_perm m pm a = compose_rec m (op_code op_compose pm.pm_id) pm a
 
 let rec restrict_rec m code v b a =
   if a <= 1 then a
-  else if m.var.(a) > v then a
+  else if level m a > v then a
   else begin
     let r = cache_find m code a 0 in
     if r >= 0 then r
     else begin
       let res =
-        if m.var.(a) = v then if b then m.hi.(a) else m.lo.(a)
-        else mk m m.var.(a) (restrict_rec m code v b m.lo.(a)) (restrict_rec m code v b m.hi.(a))
+        if level m a = v then if b then high m a else low m a
+        else mk m (level m a) (restrict_rec m code v b (low m a)) (restrict_rec m code v b (high m a))
       in
       cache_store m code a 0 res;
       res
@@ -615,7 +654,8 @@ let rec restrict_rec m code v b a =
   end
 
 let restrict m v b a =
-  restrict_rec m (op_restrict lor (((v * 2) + Bool.to_int b) lsl 4)) v b a
+  if v < 0 || v >= m.nvars then invalid_arg "Bdd.restrict";
+  restrict_rec m (op_code op_restrict ((v * 2) + Bool.to_int b)) v b a
 
 let iter_nodes m root f =
   let seen = Hashtbl.create 64 in
@@ -624,8 +664,8 @@ let iter_nodes m root f =
       Hashtbl.add seen a ();
       f a;
       if a > 1 then begin
-        go m.lo.(a);
-        go m.hi.(a)
+        go (low m a);
+        go (high m a)
       end
     end
   in
@@ -633,7 +673,7 @@ let iter_nodes m root f =
 
 let support m a =
   let levels = Hashtbl.create 16 in
-  iter_nodes m a (fun n -> if n > 1 then Hashtbl.replace levels m.var.(n) ());
+  iter_nodes m a (fun n -> if n > 1 then Hashtbl.replace levels (level m n) ());
   List.sort Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) levels [])
 
 let size m a =
@@ -652,7 +692,7 @@ let sat_count m a =
       match Hashtbl.find_opt memo a with
       | Some p -> p
       | None ->
-        let p = 0.5 *. (prob m.lo.(a) +. prob m.hi.(a)) in
+        let p = 0.5 *. (prob (low m a) +. prob (high m a)) in
         Hashtbl.add memo a p;
         p
   in
@@ -664,14 +704,14 @@ let any_sat m a =
     let rec go a acc =
       if a = 1 then List.rev acc
       else
-        let v = m.var.(a) in
-        if m.lo.(a) <> 0 then go m.lo.(a) ((v, false) :: acc)
-        else go m.hi.(a) ((v, true) :: acc)
+        let v = level m a in
+        if low m a <> 0 then go (low m a) ((v, false) :: acc)
+        else go (high m a) ((v, true) :: acc)
     in
     Some (go a [])
 
 let eval m a assign =
-  let rec go a = if a <= 1 then a = 1 else go (if assign m.var.(a) then m.hi.(a) else m.lo.(a)) in
+  let rec go a = if a <= 1 then a = 1 else go (if assign (level m a) then high m a else low m a) in
   go a
 
 let pick_preferred m a prefs =
@@ -708,8 +748,8 @@ let export m roots =
   let rec go a =
     if a > 1 && not (Hashtbl.mem seen a) then begin
       Hashtbl.add seen a ();
-      go m.lo.(a);
-      go m.hi.(a);
+      go (low m a);
+      go (high m a);
       rev_post := a :: !rev_post
     end
   in
@@ -718,9 +758,9 @@ let export m roots =
   let index = Hashtbl.create (max 16 (Array.length arr)) in
   Array.iteri (fun i id -> Hashtbl.add index id i) arr;
   let ref_of a = if a <= 1 then a else Hashtbl.find index a + 2 in
-  { ex_var = Array.map (fun id -> m.var.(id)) arr;
-    ex_lo = Array.map (fun id -> ref_of m.lo.(id)) arr;
-    ex_hi = Array.map (fun id -> ref_of m.hi.(id)) arr;
+  { ex_var = Array.map (level m) arr;
+    ex_lo = Array.map (fun id -> ref_of (low m id)) arr;
+    ex_hi = Array.map (fun id -> ref_of (high m id)) arr;
     ex_roots = Array.of_list (List.map ref_of roots) }
 
 let import m ex =

@@ -20,13 +20,21 @@ type t = int
     initially; the cache grows automatically (doubling, rehashing warm
     entries) up to [2^max_cache_bits] entries when the observed miss rate
     degrades. Growth affects performance only — results are canonical and
-    unchanged. *)
+    node ids unchanged.
+
+    The manager stores packed 32-bit values outside the GC's scanned heap:
+    12 bytes per node, 4 bytes per unique-table bucket and 16 bytes per
+    op-cache entry (4 MB for the default [2^18] entries). Raises
+    [Invalid_argument] if [nvars] exceeds [2^26] (restrict literals [2v + b]
+    share a 31-bit op code with a 4-bit op kind). *)
 val create : ?cache_bits:int -> ?max_cache_bits:int -> nvars:int -> unit -> man
 
 val nvars : man -> int
 
 (** Number of live nodes in the manager (grows monotonically; there is no
-    garbage collection — analyses use a fresh manager per snapshot). *)
+    garbage collection — analyses use a fresh manager per snapshot). Node
+    ids stay below [2^31 - 1]: an operation that would create one more
+    raises [Invalid_argument]. *)
 val node_count : man -> int
 
 val bot : t
@@ -66,7 +74,9 @@ val conj : man -> t list -> t
 val disj : man -> t list -> t
 
 (** Variable sets for quantification. Registered against a manager so
-    operations can be cached. *)
+    operations can be cached. Varsets and perms share a per-manager id
+    space of [2^27]; creating one more raises [Invalid_argument], so mint
+    them once and reuse them. *)
 type varset
 
 val varset : man -> int list -> varset
@@ -94,13 +104,16 @@ val and_exists : man -> varset -> t -> t -> t
 
 (** [transform man ~rel ~quant ~rename a] applies a packet-transformation
     relation: [replace rename (exists quant (band a rel))], fused into a
-    single traversal. This is the optimized NAT operation of §4.2.3. *)
+    single traversal. This is the optimized NAT operation of §4.2.3. Each
+    distinct [(quant, rename)] pair is interned into one of [2^27]
+    per-manager transform ids; one more raises [Invalid_argument]. *)
 val transform : man -> rel:t -> quant:varset -> rename:perm -> t -> t
 
 (** The same three steps executed separately (baseline for the ablation). *)
 val transform_unfused : man -> rel:t -> quant:varset -> rename:perm -> t -> t
 
-(** Restrict a variable to a constant. *)
+(** Restrict a variable to a constant. Raises [Invalid_argument] if the
+    level is out of range. *)
 val restrict : man -> int -> bool -> t -> t
 
 (** Levels occurring in the BDD, ascending. *)

@@ -601,11 +601,7 @@ let differential_engine_test ?(flows_per_location = 4) t =
               (* Delivered sets carry the query-local extra bits (zone /
                  session marks set along the path); strip them before the
                  concrete membership test, which evaluates extras as zero. *)
-              let strip_extra s =
-                let levels = List.init (Pktset.extra_count e) (Pktset.extra_level e) in
-                Bdd.exists man (Bdd.varset man levels) s
-              in
-              let image = strip_extra (Fquery.delivered_union q fwd) in
+              let image = Pktset.strip_extras e (Fquery.delivered_union q fwd) in
               List.iter
                 (fun (tr : Traceroute.trace) ->
                   if

@@ -379,7 +379,7 @@ let waypoint t ~src ~dst_node ~waypoint ~mode ?hdr () =
     Bdd.band man delivered (Bdd.var man (Pktset.extra_level (env t) bit))
   in
   let avoided = Bdd.bdiff man delivered through in
-  let strip s = Bdd.exists man (Bdd.varset man [ Pktset.extra_level (env t) bit ]) s in
+  let strip = Pktset.strip_extra (env t) bit in
   match mode with
   | `Through -> (strip through, strip avoided)
   | `Avoid -> (strip avoided, strip through)
@@ -400,16 +400,12 @@ let bidirectional t ~src ~dst ?hdr () =
            | Fgraph.Accept n -> n = dst_node
            | Fgraph.Src _ | Fgraph.Fwd _ | Fgraph.Pre_out _ | Fgraph.Dropped _ -> false))
   in
-  let strip_extra s =
-    let levels = List.init (Pktset.extra_count e) (Pktset.extra_level e) in
-    Bdd.exists man (Bdd.varset man levels) s
-  in
-  let delivered = strip_extra delivered in
+  let delivered = Pktset.strip_extras e delivered in
   (* session fast-path sets: return flows of everything that traversed each
      stateful device *)
   let sessions name =
     match Fgraph.loc_id t.g (Fgraph.Fwd name) with
-    | Some id -> Pktset.swap_src_dst e (strip_extra fwd.(id))
+    | Some id -> Pktset.swap_src_dst e (Pktset.strip_extras e fwd.(id))
     | None -> Bdd.bot
   in
   let g' = Fgraph.build ~env:e ~sessions ~configs:t.configs ~dp:t.dp () in
@@ -433,7 +429,7 @@ let bidirectional t ~src ~dst ?hdr () =
   in
   (* round trip: forward-delivered flows whose swapped counterpart returned *)
   let round_trip =
-    Bdd.band man delivered (Pktset.swap_src_dst e (strip_extra returned))
+    Bdd.band man delivered (Pktset.swap_src_dst e (Pktset.strip_extras e returned))
   in
   (delivered, round_trip)
 

@@ -15,6 +15,8 @@ type t = {
   to_primed : Bdd.perm;
   identity_cache : (Field.t, Bdd.t) Hashtbl.t;
   mutable swap_perm : Bdd.perm option;
+  mutable extras_vs : Bdd.varset option;
+  extra_vs : Bdd.varset option array;
 }
 
 let field_sequence order =
@@ -77,7 +79,8 @@ let create ?(order = Paper_order) ?(extra_bits = 8) () =
     quant_primed = Bdd.varset man primed_levels;
     to_unprimed = Bdd.perm man (List.map (fun (u, p) -> (p, u)) pairs);
     to_primed = Bdd.perm man pairs;
-    identity_cache = Hashtbl.create 8; swap_perm = None }
+    identity_cache = Hashtbl.create 8; swap_perm = None;
+    extras_vs = None; extra_vs = Array.make extra_bits None }
 
 let man env = env.man
 let order env = env.order
@@ -96,6 +99,32 @@ let extra_level env i =
   env.extra_base + i
 
 let extra env i = Bdd.var env.man (extra_level env i)
+
+(* The varsets that strip extra bits are built on first use and kept: a
+   varset minted per call would take a fresh manager id each time, for
+   good, and never hit the op cache on a repeated query. *)
+let strip_extra env i set =
+  let level = extra_level env i in
+  let vs =
+    match env.extra_vs.(i) with
+    | Some vs -> vs
+    | None ->
+      let vs = Bdd.varset env.man [ level ] in
+      env.extra_vs.(i) <- Some vs;
+      vs
+  in
+  Bdd.exists env.man vs set
+
+let strip_extras env set =
+  let vs =
+    match env.extras_vs with
+    | Some vs -> vs
+    | None ->
+      let vs = Bdd.varset env.man (List.init env.extra_count (extra_level env)) in
+      env.extras_vs <- Some vs;
+      vs
+  in
+  Bdd.exists env.man vs set
 
 let value_on env lvls v =
   let bits = Array.length lvls in

@@ -36,6 +36,12 @@ val extra_level : t -> int -> int
 (** The set where extra bit [i] is set. *)
 val extra : t -> int -> Bdd.t
 
+(** [strip_extra env i s] quantifies extra bit [i] out of [s]. *)
+val strip_extra : t -> int -> Bdd.t -> Bdd.t
+
+(** [strip_extras env s] quantifies every extra bit out of [s]. *)
+val strip_extras : t -> Bdd.t -> Bdd.t
+
 (** {2 Header constraints} *)
 
 (** [value env f v] is the set of packets whose field [f] equals [v]. *)

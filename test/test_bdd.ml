@@ -283,6 +283,189 @@ let node_growth () =
   Alcotest.check Alcotest.bool "many nodes" true (nodes > 1000);
   Alcotest.check Alcotest.bool "cache used" true (hits > 0 && misses > 0)
 
+(* --- storage limits and cache shape --------------------------------- *)
+
+(* Transform op codes once or-ed a 16-bit varset field under the perm id,
+   so varset 2^16 with perm 2 (its spill bit or-ed into perm bit 0) aliased
+   varset 0 with perm 3, and the second transform returned the first one's
+   cached result. Varsets and perms draw ids from one counter: 0 is
+   [vs_small], 1 a spacer, 2 [p0], 3 [p1], and [vs_big] is 2^16. *)
+let transform_codes_injective () =
+  let m = Bdd.create ~nvars:4 () in
+  let vs_small = Bdd.varset m [] in
+  ignore (Bdd.perm m []);
+  let p0 = Bdd.perm m [] in
+  let p1 = Bdd.perm m [] in
+  for _ = 1 to 65532 do
+    ignore (Bdd.varset m [])
+  done;
+  let vs_big = Bdd.varset m [ 0 ] in
+  let a = Bdd.var m 0 in
+  let r_small = Bdd.transform m ~rel:Bdd.top ~quant:vs_small ~rename:p1 a in
+  Alcotest.check Alcotest.int "nothing quantified" a r_small;
+  let expected = Bdd.transform_unfused m ~rel:Bdd.top ~quant:vs_big ~rename:p0 a in
+  Alcotest.check Alcotest.int "x0 quantified" Bdd.top expected;
+  Alcotest.check Alcotest.int "fused = unfused past 2^16 varsets" expected
+    (Bdd.transform m ~rel:Bdd.top ~quant:vs_big ~rename:p0 a)
+
+(* Levels are stored in 32 bits and restrict literals [2v + b] in 27, so a
+   manager over more than 2^26 variables is refused up front. (The 2^31 node
+   id limit is not exercised: reaching it takes a 24 GB node table.) *)
+let limits_refused () =
+  Alcotest.check_raises "too many variables"
+    (Invalid_argument "Bdd.create: nvars") (fun () ->
+      ignore (Bdd.create ~nvars:((1 lsl 26) + 1) ()));
+  let m = Bdd.create ~nvars:4 () in
+  Alcotest.check_raises "restrict level out of range"
+    (Invalid_argument "Bdd.restrict") (fun () ->
+      ignore (Bdd.restrict m 4 true (Bdd.var m 0)))
+
+(* A random program over registers holding functions of the unprimed
+   (even) levels of an interleaved layout, so every operation's
+   preconditions hold. Operand indices are taken modulo the register
+   count. *)
+type instr =
+  | Iand of int * int
+  | Ior of int * int
+  | Ixor of int * int
+  | Idiff of int * int
+  | Inot of int
+  | Iexists of int * int
+  | Ireplace of int
+  | Itransform of int * int * int
+  | Irestrict of int * bool * int
+  | Icompose of int
+
+let ks = 6 (* unprimed levels 0, 2, .., 10; primed 1, 3, .., 11 *)
+
+let instr_gen =
+  QCheck.Gen.(
+    let r = int_bound 63 in
+    frequency
+      [ (3, map2 (fun a b -> Iand (a, b)) r r);
+        (3, map2 (fun a b -> Ior (a, b)) r r);
+        (2, map2 (fun a b -> Ixor (a, b)) r r);
+        (2, map2 (fun a b -> Idiff (a, b)) r r);
+        (1, map (fun a -> Inot a) r);
+        (1, map2 (fun v a -> Iexists (v, a)) (int_bound 2) r);
+        (1, map (fun a -> Ireplace a) r);
+        (2, map3 (fun x y a -> Itransform (x, y, a)) r r r);
+        (1, map3 (fun k b a -> Irestrict (k, b, a)) (int_bound (ks - 1)) bool r);
+        (1, map (fun a -> Icompose a) r) ])
+
+let instr_print = function
+  | Iand (a, b) -> Printf.sprintf "and %d %d" a b
+  | Ior (a, b) -> Printf.sprintf "or %d %d" a b
+  | Ixor (a, b) -> Printf.sprintf "xor %d %d" a b
+  | Idiff (a, b) -> Printf.sprintf "diff %d %d" a b
+  | Inot a -> Printf.sprintf "not %d" a
+  | Iexists (v, a) -> Printf.sprintf "exists vs%d %d" v a
+  | Ireplace a -> Printf.sprintf "replace %d" a
+  | Itransform (x, y, a) -> Printf.sprintf "transform %d %d %d" x y a
+  | Irestrict (k, b, a) -> Printf.sprintf "restrict x%d=%b %d" (2 * k) b a
+  | Icompose a -> Printf.sprintf "compose %d" a
+
+let program_arb =
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map instr_print l))
+    QCheck.Gen.(list_size (int_range 1 80) instr_gen)
+
+(* Runs a program in a fresh manager and returns every intermediate
+   result in order, plus the final node count. *)
+let run_program ~cache_bits prog =
+  let m = Bdd.create ~cache_bits ~nvars:(2 * ks) () in
+  let unprimed = List.init ks (fun k -> 2 * k) in
+  let quants =
+    [| Bdd.varset m [ 0; 2 ]; Bdd.varset m [ 4; 8; 10 ]; Bdd.varset m unprimed |]
+  in
+  let to_primed = Bdd.perm m (List.map (fun u -> (u, u + 1)) unprimed) in
+  let to_unprimed = Bdd.perm m (List.map (fun u -> (u + 1, u)) unprimed) in
+  let swap = Bdd.perm m [ (0, 6); (6, 0); (2, 4); (4, 2) ] in
+  let regs = ref (Array.of_list (List.map (Bdd.var m) unprimed)) in
+  let reg i = !regs.(i mod Array.length !regs) in
+  let step = function
+    | Iand (a, b) -> Bdd.band m (reg a) (reg b)
+    | Ior (a, b) -> Bdd.bor m (reg a) (reg b)
+    | Ixor (a, b) -> Bdd.bxor m (reg a) (reg b)
+    | Idiff (a, b) -> Bdd.bdiff m (reg a) (reg b)
+    | Inot a -> Bdd.bnot m (reg a)
+    | Iexists (v, a) -> Bdd.exists m quants.(v) (reg a)
+    | Ireplace a -> Bdd.replace m to_unprimed (Bdd.replace m to_primed (reg a))
+    | Itransform (x, y, a) ->
+      let rel = Bdd.band m (reg x) (Bdd.replace m to_primed (reg y)) in
+      Bdd.transform m ~rel ~quant:quants.(2) ~rename:to_unprimed (reg a)
+    | Irestrict (k, b, a) -> Bdd.restrict m (2 * k) b (reg a)
+    | Icompose a -> Bdd.compose_perm m swap (reg a)
+  in
+  let results =
+    List.map
+      (fun i ->
+        let r = step i in
+        regs := Array.append !regs [| r |];
+        r)
+      prog
+  in
+  (results, Bdd.node_count m)
+
+(* Node ids are a function of the operation sequence alone: the op cache
+   decides only what is recomputed, and a recomputation finds every node
+   it builds already in the unique table. *)
+let node_ids_cache_independent =
+  qtest "node ids independent of cache size" program_arb (fun prog ->
+      run_program ~cache_bits:1 prog = run_program ~cache_bits:16 prog)
+
+(* Random functions over 16 levels, built from truth tables, push a manager
+   past four node-table doublings (1024 -> 16384 slots) and several
+   unique-table rehashes (4096 buckets at 3/4 load). Both cache shapes must
+   build the same nodes, export the same bytes, and agree with the tables. *)
+let growth_identical_across_cache_shapes () =
+  let nv = 16 in
+  let rng = Random.State.make [| 18 |] in
+  let tf = Array.init (1 lsl nv) (fun _ -> Random.State.bool rng) in
+  let tg = Array.init (1 lsl nv) (fun _ -> Random.State.bool rng) in
+  let rec of_table m t lvl off =
+    if lvl = nv then if t.(off) then Bdd.top else Bdd.bot
+    else
+      let half = 1 lsl (nv - 1 - lvl) in
+      Bdd.ite_raw m lvl (of_table m t (lvl + 1) off) (of_table m t (lvl + 1) (off + half))
+  in
+  let build cache_bits =
+    let m = Bdd.create ~cache_bits ~nvars:nv () in
+    let f = of_table m tf 0 0 and g = of_table m tg 0 0 in
+    let roots =
+      [ f; g; Bdd.band m f g; Bdd.bxor m f g; Bdd.bor m f (Bdd.bnot m g);
+        Bdd.bdiff m g f ]
+    in
+    (m, roots)
+  in
+  let m1, roots1 = build 1 and m16, roots16 = build 16 in
+  Alcotest.check Alcotest.bool "past four node-table doublings" true
+    (Bdd.node_count m1 > 8192);
+  Alcotest.check (Alcotest.list Alcotest.int) "same root ids" roots16 roots1;
+  Alcotest.check Alcotest.int "same node count" (Bdd.node_count m16) (Bdd.node_count m1);
+  Alcotest.check Alcotest.string "export byte-identical"
+    (Marshal.to_string (Bdd.export m16 roots16) [])
+    (Marshal.to_string (Bdd.export m1 roots1) []);
+  let expected =
+    [ (fun a -> tf.(a)); (fun a -> tg.(a)); (fun a -> tf.(a) && tg.(a));
+      (fun a -> tf.(a) <> tg.(a)); (fun a -> tf.(a) || not tg.(a));
+      (fun a -> tg.(a) && not tf.(a)) ]
+  in
+  let agree m roots =
+    List.for_all2
+      (fun root truth ->
+        let ok = ref true in
+        for a = 0 to (1 lsl nv) - 1 do
+          let env lvl = (a lsr (nv - 1 - lvl)) land 1 = 1 in
+          if Bdd.eval m root env <> truth a then ok := false
+        done;
+        !ok)
+      roots expected
+  in
+  Alcotest.check Alcotest.bool "cache_bits 1 matches truth tables" true (agree m1 roots1);
+  Alcotest.check Alcotest.bool "cache_bits 16 matches truth tables" true
+    (agree m16 roots16)
+
 let suites =
   [ ( "bdd.core",
       [ Alcotest.test_case "units" `Quick units;
@@ -291,7 +474,14 @@ let suites =
         intersects_is_and; leq_is_diff ] );
     ( "bdd.quantify",
       [ exists_semantics; exists_removes_support; and_exists_fusion;
-        replace_shift; transform_fused_matches_unfused ] );
+        replace_shift; transform_fused_matches_unfused;
+        Alcotest.test_case "transform codes are injective" `Quick
+          transform_codes_injective ] );
+    ( "bdd.storage",
+      [ Alcotest.test_case "limits are refused" `Quick limits_refused;
+        node_ids_cache_independent;
+        Alcotest.test_case "growth identical across cache shapes" `Quick
+          growth_identical_across_cache_shapes ] );
     ( "bdd.sat",
       [ sat_count_matches; any_sat_satisfies; restrict_semantics;
         pick_preferred_subset ] ) ]

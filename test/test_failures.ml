@@ -296,8 +296,8 @@ let session_surface () =
       check Alcotest.bool "verdict column is stable" true
         (List.mem (List.nth row 1) [ "survives"; "fails"; "inconclusive" ]))
     verification.Questions.a_rows;
-  (* sweep diags (none expected here, but any produced) fold into the
-     session's diagnostics *)
+  (* sweep diags fold into the session's diagnostics: NET1's border router
+     has NAT edges, so this sweep always reports FAILURE_PRUNING_DISABLED *)
   let session_codes = List.map (fun d -> d.Diag.d_code) (Batfish.diags bf) in
   List.iter
     (fun d ->

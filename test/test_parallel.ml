@@ -113,6 +113,10 @@ let cache_growth_identical () =
   let m_big, r_big = mk 16 16 in
   check (Alcotest.float 0.0) "same function despite cache growth"
     (Bdd.sat_count m_big r_big) (Bdd.sat_count m_small r_small);
+  (* stronger: the same operation sequence builds the same nodes, id for
+     id, whatever the cache shape *)
+  check Alcotest.int "same root id" r_big r_small;
+  check Alcotest.int "same node count" (Bdd.node_count m_big) (Bdd.node_count m_small);
   check Alcotest.bool "tiny cache grew" true (Bdd.cache_size m_small > 4)
 
 (* --- graph spec round-trip --------------------------------------------- *)
