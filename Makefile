@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench-smoke bench-sweep bench-daemon bench-failures bench-cold check clean
+.PHONY: all build test lint bench-smoke bench-sweep bench-daemon bench-failures bench-cold bench-edit check clean
 
 all: build
 
@@ -55,6 +55,15 @@ bench-failures:
 # Prints the one-line JSON result.
 bench-cold:
 	python3 perfbench/run.py --workload cold-snapshot --seed 1
+
+# The edit-stream workload of the pipeline benchmark (perfbench/): seeded
+# three-edit change sets applied to one NET11 base with Batfish.update, then
+# all-pairs and multipath re-answered. At seed 1 every op's answers and
+# counters, dataplane.simulated_nodes and bdd.nodes included, are checked
+# against perfbench/digests/, so a route-delta change that visits one node
+# more or fewer fails here. Prints the one-line JSON result.
+bench-edit:
+	python3 perfbench/run.py --workload edit-stream --seed 1
 
 # The full gate: everything compiles, every test passes (which includes
 # linting the example fixtures via the runtest alias), and the bench smoke

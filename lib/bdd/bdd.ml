@@ -775,3 +775,5 @@ let import m ex =
   List.map (fun r -> ids.(r)) (Array.to_list ex.ex_roots)
 
 let exported_nodes ex = Array.length ex.ex_var
+
+let aux_count m = m.next_aux

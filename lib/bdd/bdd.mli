@@ -90,6 +90,10 @@ type perm
 
 val perm : man -> (int * int) list -> perm
 
+(** How many varset/perm ids the manager has minted so far (read-only; a
+    count that keeps rising on repeated work means ids are being leaked). *)
+val aux_count : man -> int
+
 val exists : man -> varset -> t -> t
 val replace : man -> perm -> t -> t
 

@@ -46,6 +46,17 @@ type export_entry = {
   mutable ex_wire : Route.t list;  (* arrival-zeroed, sorted, deduped *)
 }
 
+type remote = Internal of int | External of Dp_env.external_peer
+
+(* A node's BGP session set, exactly: per established session the peer and
+   local addresses, the remote, the iBGP flag and both neighbor stanzas; then
+   the down sessions with their reasons. A node's BGP RIBs are a function of
+   this set and the wires arriving over it, so the incremental engine keeps
+   a node's RIBs while both are unchanged. *)
+type session_key =
+  (Ipv4.t * Ipv4.t * remote * bool * Vi.bgp_neighbor * Vi.bgp_neighbor option) list
+  * (Vi.bgp_neighbor * string) list
+
 (* Result of simulating one dependency component (see [component_partition]).
    Retained inside [t] so that [update] can splice unchanged components'
    results into a new snapshot without re-running them, and warm-start
@@ -65,6 +76,8 @@ type comp_result = {
          a member whose digest matches the base's needs re-simulation only if
          its incoming advertisements change *)
   cr_exports : export_entry list;
+  cr_session_keys : (string * session_key) list;
+      (* per member, the session set its BGP RIBs were derived from *)
   cr_ospf_digest : string;  (* digest of the last SPF inputs used *)
   cr_delta_safe : bool;
       (* false when the fixed point is timing-dependent (an arrival-decided
@@ -100,8 +113,6 @@ type t = {
 
 (* --- internal simulation state --- *)
 
-type remote = Internal of int | External of Dp_env.external_peer
-
 type session = {
   ss_local_ip : Ipv4.t;
   ss_peer_ip : Ipv4.t;
@@ -131,6 +142,13 @@ type node = {
   mutable local_bgp : Route.t list;
   mutable published_this_round : bool;
 }
+
+let session_key node : session_key =
+  ( List.map
+      (fun s ->
+        (s.ss_peer_ip, s.ss_local_ip, s.ss_remote, s.ss_is_ibgp, s.ss_neighbor, s.ss_reverse))
+      node.sessions,
+    node.down_sessions )
 
 let local_as (node : node) =
   match node.cfg.Vi.bgp with
@@ -1461,6 +1479,9 @@ let compute_component ~options ~env ~topo (comp : Vi.t list) =
     cr_diags = Diag.to_list dc;
     cr_prebgp = prebgp;
     cr_exports = exports;
+    cr_session_keys =
+      Array.to_list nodes
+      |> List.map (fun node -> (node.cfg.Vi.hostname, session_key node));
     cr_ospf_digest = ospf_digest;
     cr_delta_safe = delta_safe }
 
@@ -1476,12 +1497,22 @@ type warm_stats = { ws_simulated : int; ws_converged_early : int }
    digests drive the seed test. The BGP phase then runs as a worklist seeded
    with the changed nodes, every member whose pre-BGP state changed, and the
    configured session partners of changed nodes (session viability and TCP
-   ACL checks read the partner's config). Each dequeued node is re-derived
-   from its neighbors' current advertisements — clean neighbors still expose
-   the base fixed point — and a neighbor is enqueued only when the wire set
-   it receives actually changes (or when this node's main RIB changed, since
-   multihop session viability reads it). Propagation therefore dies out at
-   the first ring of undisturbed fixed point.
+   ACL checks read the partner's config). A neighbor is enqueued only when
+   the wire set it receives actually changes, or when this node's main RIB
+   changed (multihop session viability reads it). Propagation therefore dies
+   out at the first ring of undisturbed fixed point.
+
+   A visit re-derives a node only when its BGP inputs changed. Seeds and
+   receivers of a changed wire are dirty; a node woken only by a partner's
+   main-RIB transition is clean. A clean node first dequeued adopts its base
+   RIBs (shared, not copied) and a clean visit only re-establishes its
+   sessions: while they equal the set its RIBs were derived from and its
+   incoming wire entries are current, its RIBs are still a fixed point of
+   unchanged inputs — sessions, wires, own config and externals, own main
+   RIB — and re-deriving them would return the same best sets. Otherwise the
+   node turns dirty, and a dirty visit re-derives it from its neighbors'
+   current advertisements (clean neighbors still expose the base fixed
+   point), starting, the first time, from its fresh pre-BGP state.
 
    Bit-identity with a scratch run holds because (a) the compared surface is
    arrival-free, (b) advertisement is canonical — publication deltas, the
@@ -1489,7 +1520,7 @@ type warm_stats = { ws_simulated : int; ws_converged_early : int }
    [canonical_route_order], so a receiver's kept candidate per (net, peer)
    is a function of the sender's final best set, not of delivery history,
    (c) the base was delta-safe (no arrival-decided best-set boundary), and
-   (d) that safety condition is re-checked on every re-simulated node, with
+   (d) that safety condition is re-checked on every re-derived node, with
    [Fallback] to the scratch path when it fails. *)
 let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t list) =
   if not base_cr.cr_converged then raise (Fallback "base component not converged");
@@ -1561,15 +1592,26 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
   let in_queue = Array.make n false in
   let materialized = Array.make n false in
   let early = Array.make n false in
+  (* [dirty]: the node's BGP inputs changed since its RIBs were derived, so
+     its next visit re-derives them. [derived]: it was re-derived at least
+     once (otherwise its RIBs are the base's). *)
+  let dirty = Array.make n false in
+  let derived = Array.make n false in
+  (* whether the node's main RIB equals the base's, as of its last derivation *)
+  let main_at_base = Array.make n true in
   let enqueue i =
     if not in_queue.(i) then begin
       in_queue.(i) <- true;
       Queue.add i queue
     end
   in
+  let enqueue_dirty i =
+    dirty.(i) <- true;
+    enqueue i
+  in
   (* Seeds: changed nodes, members whose pre-BGP state changed, and the
      session partners of changed nodes (configured in either snapshot —
-     base sessions cover deleted neighbor stanzas). *)
+     base sessions cover deleted neighbor stanzas). All start dirty. *)
   Array.iteri
     (fun i node ->
       let name = node.cfg.Vi.hostname in
@@ -1579,8 +1621,8 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
         | Some d -> d <> "" && d = snd prebgp.(i)
         | None -> false
       in
-      if changed || not pre_same then enqueue i;
-      if changed then List.iter enqueue partners.(i))
+      if changed || not pre_same then enqueue_dirty i;
+      if changed then List.iter enqueue_dirty partners.(i))
     nodes;
   List.iter
     (fun sr ->
@@ -1589,7 +1631,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
       | Some remote -> (
         let wake a b =
           if Hashtbl.mem changed_tbl a then
-            Option.iter enqueue (Hashtbl.find_opt node_index b)
+            Option.iter enqueue_dirty (Hashtbl.find_opt node_index b)
         in
         wake sr.sr_node remote;
         wake remote sr.sr_node))
@@ -1602,18 +1644,52 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
         { node with main_rib = base_nr.(i).nr_main; bgp_rib = base_nr.(i).nr_bgp })
       nodes
   in
-  let base_main_state = Array.map (fun nr -> rib_state nr.nr_main) base_nr in
+  (* Base states are snapshotted only for the nodes whose state is compared. *)
+  let base_main_state = Array.map (fun nr -> lazy (rib_state nr.nr_main)) base_nr in
   (* Last main-RIB state each node propagated from: partners are woken on a
      transition, not on every visit while the state differs from base (that
      would cycle forever in a dense session mesh). *)
   let last_main_state = Array.copy base_main_state in
+  (* The session set each node's RIBs were derived from: the base's until
+     the node is re-derived. *)
+  let derived_keys =
+    Array.map
+      (fun node -> List.assoc_opt node.cfg.Vi.hostname base_cr.cr_session_keys)
+      nodes
+  in
+  (* The fresh pre-BGP main RIB of a node that adopted its base RIBs, kept
+     until its first re-derivation starts from it. *)
+  let prebgp_main = Array.make n None in
   (* The live wire table, seeded from the base snapshot and refreshed as
      nodes re-simulate. Entries are private copies: [ex_wire] is mutable and
-     the base's records must stay pristine. *)
+     the base's records must stay pristine. [incoming] indexes it by
+     receiver (the sessions each member holds an entry for); [outgoing] by
+     sender, in the table's own iteration order — the order [propagate]
+     wakes receivers in — and is rebuilt after the key set changes. *)
   let exports : (string * Ipv4.t, export_entry) Hashtbl.t = Hashtbl.create 64 in
+  let incoming = Array.make n [] in
   List.iter
-    (fun e -> Hashtbl.replace exports (e.ex_receiver, e.ex_peer_ip) { e with ex_wire = e.ex_wire })
+    (fun e ->
+      Hashtbl.replace exports (e.ex_receiver, e.ex_peer_ip) { e with ex_wire = e.ex_wire };
+      match Hashtbl.find_opt node_index e.ex_receiver with
+      | Some j -> incoming.(j) <- e.ex_peer_ip :: incoming.(j)
+      | None -> ())
     base_cr.cr_exports;
+  let outgoing = Array.make n [] and outgoing_stale = ref true in
+  let outgoing_of i =
+    if !outgoing_stale then begin
+      Array.fill outgoing 0 n [];
+      Hashtbl.iter
+        (fun _ e ->
+          match Hashtbl.find_opt node_index e.ex_sender with
+          | Some j -> outgoing.(j) <- e :: outgoing.(j)
+          | None -> ())
+        exports;
+      Array.iteri (fun j es -> outgoing.(j) <- List.rev es) outgoing;
+      outgoing_stale := false
+    end;
+    outgoing.(i)
+  in
   let reverse_of sender (s : session) =
     match s.ss_reverse with
     | Some rn -> rn
@@ -1624,16 +1700,19 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
   (* Last BGP best-set state each node's outgoing wires were computed from:
      a dequeued node re-exports (sender-side policy runs) only when its BGP
      state actually moved, not on every visit. *)
-  let last_bgp_state = Array.map (fun nr -> rib_state nr.nr_bgp) base_nr in
+  let last_bgp_state = Array.map (fun nr -> lazy (rib_state nr.nr_bgp)) base_nr in
   let step_count = ref 0 in
   (* Keep the wire table's entry set in sync with [i]'s live sessions:
      entries are created for new sessions (computing their wire once from the
      sender's current view) and dropped for sessions that disappeared.
      Surviving entries are already current — every sender rewrites its
-     entries whenever its own BGP state transitions. *)
-  let sync_incoming i =
+     entries whenever its own BGP state transitions. Returns whether an
+     entry was created, replaced or dropped; with [~check_only] nothing is
+     touched and the result says whether one would be. *)
+  let sync_incoming ?(check_only = false) i =
     let nd = nodes.(i) in
     let name = nd.cfg.Vi.hostname in
+    let moved = ref false in
     List.iter
       (fun s ->
         match s.ss_remote with
@@ -1647,15 +1726,20 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
           in
           (match Hashtbl.find_opt exports (name, s.ss_peer_ip) with
            | Some e when current e -> ()
-           | Some _ | None ->
-             let rev = reverse_of sender s in
-             Hashtbl.replace exports (name, s.ss_peer_ip)
-               { ex_receiver = name; ex_peer_ip = s.ss_peer_ip;
-                 ex_local_ip = s.ss_local_ip; ex_is_ibgp = s.ss_is_ibgp;
-                 ex_sender = sender.cfg.Vi.hostname;
-                 ex_wire =
-                   wire_routes ~sender ~rev ~sender_ip:s.ss_peer_ip
-                     ~receiver_ip:s.ss_local_ip ~is_ibgp:s.ss_is_ibgp }))
+           | found ->
+             moved := true;
+             if not check_only then begin
+               if found = None then incoming.(i) <- s.ss_peer_ip :: incoming.(i);
+               outgoing_stale := true;
+               let rev = reverse_of sender s in
+               Hashtbl.replace exports (name, s.ss_peer_ip)
+                 { ex_receiver = name; ex_peer_ip = s.ss_peer_ip;
+                   ex_local_ip = s.ss_local_ip; ex_is_ibgp = s.ss_is_ibgp;
+                   ex_sender = sender.cfg.Vi.hostname;
+                   ex_wire =
+                     wire_routes ~sender ~rev ~sender_ip:s.ss_peer_ip
+                       ~receiver_ip:s.ss_local_ip ~is_ibgp:s.ss_is_ibgp }
+             end))
       nd.sessions;
     let live =
       List.filter_map
@@ -1665,13 +1749,16 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
           | External _ -> None)
         nd.sessions
     in
-    let stale =
-      Hashtbl.fold
-        (fun (r, peer) _ acc ->
-          if r = name && not (List.mem peer live) then (r, peer) :: acc else acc)
-        exports []
-    in
-    List.iter (Hashtbl.remove exports) stale
+    let stale, kept = List.partition (fun peer -> not (List.mem peer live)) incoming.(i) in
+    if stale <> [] then begin
+      moved := true;
+      if not check_only then begin
+        List.iter (fun peer -> Hashtbl.remove exports (name, peer)) stale;
+        incoming.(i) <- kept;
+        outgoing_stale := true
+      end
+    end;
+    !moved
   in
   (* One node's re-derivation: wipe its BGP state and rebuild it from its
      neighbors' cached wire entries (the wires hold exactly what the scratch
@@ -1692,10 +1779,6 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
     Hashtbl.create 64
   in
   let step i =
-    if not materialized.(i) then begin
-      materialized.(i) <- true;
-      view.(i) <- nodes.(i)
-    end;
     let nd = nodes.(i) in
     let name = nd.cfg.Vi.hostname in
     let cur = ref (rib_state nd.main_rib, rib_state nd.bgp_rib) in
@@ -1706,7 +1789,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
       decr guard;
       incr step_count;
       establish_sessions env topo view node_index nd;
-      sync_incoming i;
+      ignore (sync_incoming i);
       (* Gather the node's full BGP candidate list in the order a wipe
          followed by the scratch merge sequence would produce it — local
          originations, external announcements, then each session's cached
@@ -1779,51 +1862,92 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
   in
   (* The delta test: when this node's BGP state moved (or its config changed,
      which can alter exports with the state unchanged), recompute its
-     outgoing wires and enqueue exactly the receivers whose inputs changed; a
-     main-RIB transition additionally wakes the configured partners (their
-     session viability reads it). Returns true when nothing downstream was
-     disturbed and the node landed back on its base fixed point. *)
+     outgoing wires and enqueue exactly the receivers whose inputs changed
+     (they turn dirty); a main-RIB transition additionally wakes the
+     configured partners (their session viability reads it). Returns true
+     when nothing downstream was disturbed. *)
   let propagate i (cur_main, cur_bgp) =
     let nd = nodes.(i) in
     let name = nd.cfg.Vi.hostname in
     let quiet = ref true in
-    if cur_bgp <> last_bgp_state.(i) || Hashtbl.mem changed_tbl name then begin
-      last_bgp_state.(i) <- cur_bgp;
-      Hashtbl.iter
-        (fun _ e ->
-          if e.ex_sender = name then
-            match Hashtbl.find_opt node_index e.ex_receiver with
-            | None -> ()
-            | Some j when materialized.(j) && j = i -> ()
-            | Some j ->
-              let rev =
-                match nd.cfg.Vi.bgp with
-                | None -> None
-                | Some b ->
-                  List.find_opt
-                    (fun (rn : Vi.bgp_neighbor) -> rn.Vi.bn_peer = e.ex_local_ip)
-                    b.bp_neighbors
-              in
-              let wire =
-                match rev with
-                | None -> []
-                | Some rev ->
-                  wire_routes ~sender:nd ~rev ~sender_ip:e.ex_peer_ip
-                    ~receiver_ip:e.ex_local_ip ~is_ibgp:e.ex_is_ibgp
-              in
-              if wire <> e.ex_wire then begin
-                e.ex_wire <- wire;
-                quiet := false;
-                enqueue j
-              end)
-        exports
+    if cur_bgp <> Lazy.force last_bgp_state.(i) || Hashtbl.mem changed_tbl name then begin
+      last_bgp_state.(i) <- Lazy.from_val cur_bgp;
+      List.iter
+        (fun e ->
+          match Hashtbl.find_opt node_index e.ex_receiver with
+          | None -> ()
+          | Some j when materialized.(j) && j = i -> ()
+          | Some j ->
+            let rev =
+              match nd.cfg.Vi.bgp with
+              | None -> None
+              | Some b ->
+                List.find_opt
+                  (fun (rn : Vi.bgp_neighbor) -> rn.Vi.bn_peer = e.ex_local_ip)
+                  b.bp_neighbors
+            in
+            let wire =
+              match rev with
+              | None -> []
+              | Some rev ->
+                wire_routes ~sender:nd ~rev ~sender_ip:e.ex_peer_ip
+                  ~receiver_ip:e.ex_local_ip ~is_ibgp:e.ex_is_ibgp
+            in
+            if wire <> e.ex_wire then begin
+              e.ex_wire <- wire;
+              quiet := false;
+              enqueue_dirty j
+            end)
+        (outgoing_of i)
     end;
-    if cur_main <> last_main_state.(i) then begin
-      last_main_state.(i) <- cur_main;
+    if cur_main <> Lazy.force last_main_state.(i) then begin
+      last_main_state.(i) <- Lazy.from_val cur_main;
       quiet := false;
       List.iter enqueue partners.(i)
     end;
-    !quiet && cur_main = base_main_state.(i)
+    !quiet
+  in
+  (* One dequeue. A node first dequeued clean adopts its base RIBs; a clean
+     visit re-checks only its sessions and incoming entries and, if they
+     still match what its RIBs were derived from, reports "no change" (no
+     re-export, no partner wake). A dirty visit re-derives and propagates.
+     Returns whether the node sits at its base fixed point with nothing
+     downstream disturbed. *)
+  let visit i =
+    let nd = nodes.(i) in
+    if not materialized.(i) then begin
+      materialized.(i) <- true;
+      if not dirty.(i) then begin
+        let fresh = empty_rib () in
+        Rib.assign fresh ~from:nd.main_rib;
+        prebgp_main.(i) <- Some fresh;
+        Rib.assign nd.main_rib ~from:base_nr.(i).nr_main;
+        Rib.assign nd.bgp_rib ~from:base_nr.(i).nr_bgp
+      end;
+      view.(i) <- nd
+    end;
+    if not dirty.(i) then begin
+      establish_sessions env topo view node_index nd;
+      if sync_incoming ~check_only:true i || Some (session_key nd) <> derived_keys.(i)
+      then dirty.(i) <- true
+    end;
+    if dirty.(i) then begin
+      (* A node that adopted its base RIBs is first re-derived from where a
+         fresh one starts: its pre-BGP main RIB, no BGP routes, clock 0. *)
+      Option.iter
+        (fun fresh ->
+          Rib.assign nd.main_rib ~from:fresh;
+          Rib.reload nd.bgp_rib [];
+          prebgp_main.(i) <- None)
+        prebgp_main.(i);
+      let ((cur_main, _) as cur) = step i in
+      dirty.(i) <- false;
+      derived.(i) <- true;
+      derived_keys.(i) <- Some (session_key nd);
+      main_at_base.(i) <- cur_main = Lazy.force base_main_state.(i);
+      propagate i cur && main_at_base.(i)
+    end
+    else main_at_base.(i)
   in
   (* Worklist fuel. The runaway backstop is 16 dequeues per member, but the
      caller's [max_rounds] budget also binds: a crippled fuel option must
@@ -1836,13 +1960,15 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
     decr budget;
     let i = Queue.pop queue in
     in_queue.(i) <- false;
-    early.(i) <- propagate i (step i)
+    early.(i) <- visit i
   done;
   (* The warm fixed point must itself be timing-independent, or it cannot be
-     trusted (nor serve as the next update's base). *)
+     trusted (nor serve as the next update's base). A node never re-derived
+     holds the base's delta-safe fixed point over its own unchanged main RIB,
+     so its verdict is the base's. *)
   Array.iteri
     (fun i node ->
-      if materialized.(i) && node_ambiguous node then
+      if derived.(i) && node_ambiguous node then
         raise (Fallback "warm fixed point is timing-dependent"))
     nodes;
   let results =
@@ -1850,11 +1976,15 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
       (Array.mapi
          (fun i node ->
            let name = node.cfg.Vi.hostname in
-           if materialized.(i) then
+           if derived.(i) then
              ( name,
                { nr_node = name; nr_main = node.main_rib; nr_bgp = node.bgp_rib;
                  nr_ospf = node.ospf_rib;
                  nr_fib = Fib.of_rib ~node:name ~topo node.main_rib } )
+           else if materialized.(i) then
+             (* visited, never re-derived: the base's RIBs and FIB, with the
+                OSPF RIB this run computed *)
+             (name, { (base_nr.(i)) with nr_ospf = node.ospf_rib })
            else (name, base_nr.(i)))
          nodes)
   in
@@ -1900,6 +2030,10 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
       cr_diags = [];
       cr_prebgp = Array.to_list prebgp;
       cr_exports = exports_list;
+      cr_session_keys =
+        Array.to_list nodes
+        |> List.filter_map (fun node ->
+               Option.map (fun k -> (node.cfg.Vi.hostname, k)) derived_keys.(node.idx));
       cr_ospf_digest = ospf_digest;
       cr_delta_safe = true },
     { ws_simulated = simulated; ws_converged_early = !early_count } )

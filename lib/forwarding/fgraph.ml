@@ -30,8 +30,6 @@ type t = {
   loc_index : (loc, int) Hashtbl.t;
   mutable out_edges : edge list array;
   mutable in_edges : edge list array;
-  varsets : (int list, Bdd.varset) Hashtbl.t;
-    (* memoized extra-bit varsets: keeps operation-cache codes stable *)
 }
 
 let zone_bits = 4
@@ -47,29 +45,20 @@ let locs_where t pred =
 
 (* --- edge function application --- *)
 
-let varset_of t bits =
-  let levels = List.map (Pktset.extra_level t.env) bits in
-  match Hashtbl.find_opt t.varsets levels with
-  | Some vs -> vs
-  | None ->
-    let vs = Bdd.varset (Pktset.man t.env) levels in
-    Hashtbl.add t.varsets levels vs;
-    vs
-
 let rec apply t fn set =
   let man = Pktset.man t.env in
   match fn with
   | Filter f -> Bdd.band man set f
   | Transform rel -> Pktset.apply_rel t.env rel set
   | Set_extra bits ->
-    let vs = varset_of t (List.map fst bits) in
+    let vs = Pktset.extra_varset t.env (List.map fst bits) in
     let freed = Bdd.exists man vs set in
     List.fold_left
       (fun acc (b, v) ->
         let lvl = Pktset.extra_level t.env b in
         Bdd.band man acc (if v then Bdd.var man lvl else Bdd.nvar man lvl))
       freed bits
-  | Erase_extra bits -> Bdd.exists man (varset_of t bits) set
+  | Erase_extra bits -> Bdd.exists man (Pktset.extra_varset t.env bits) set
   | Seq fns -> List.fold_left (fun acc fn -> apply t fn acc) set fns
 
 let rec apply_reverse t fn target =
@@ -87,8 +76,8 @@ let rec apply_reverse t fn target =
           Bdd.band man acc (if v then Bdd.var man lvl else Bdd.nvar man lvl))
         target bits
     in
-    Bdd.exists man (varset_of t (List.map fst bits)) constrained
-  | Erase_extra bits -> Bdd.exists man (varset_of t bits) target
+    Bdd.exists man (Pktset.extra_varset t.env (List.map fst bits)) constrained
+  | Erase_extra bits -> Bdd.exists man (Pktset.extra_varset t.env bits) target
   | Seq fns -> List.fold_right (fun fn acc -> apply_reverse t fn acc) fns target
 
 (* --- construction helpers --- *)
@@ -473,8 +462,7 @@ let build ?env ?(compress = true) ?sessions ~configs ~dp () =
       out_edges.(e.e_from) <- e :: out_edges.(e.e_from);
       in_edges.(e.e_to) <- e :: in_edges.(e.e_to))
     b.b_edges;
-  let t = { env; locs; loc_index = b.b_index; out_edges; in_edges;
-            varsets = Hashtbl.create 8 } in
+  let t = { env; locs; loc_index = b.b_index; out_edges; in_edges } in
   if compress then contract_chains t ~select:(fun _ -> true);
   t
 
@@ -536,8 +524,7 @@ let patch ~base ~dirty ~configs ~dp () =
       out_edges.(e.e_from) <- e :: out_edges.(e.e_from);
       in_edges.(e.e_to) <- e :: in_edges.(e.e_to))
     b.b_edges;
-  let t = { env; locs; loc_index = b.b_index; out_edges; in_edges;
-            varsets = Hashtbl.create 8 } in
+  let t = { env; locs; loc_index = b.b_index; out_edges; in_edges } in
   (* Only freshly rebuilt Pre_outs need contraction: surviving edges were
      copied already contracted, and contraction is node-local. *)
   contract_chains t ~select:(fun v -> is_dirty (loc_node t.locs.(v)));
@@ -658,7 +645,7 @@ let of_spec ?env spec =
     out_edges.(from_) <- e :: out_edges.(from_);
     in_edges.(to_) <- e :: in_edges.(to_)
   done;
-  { env; locs; loc_index; out_edges; in_edges; varsets = Hashtbl.create 8 }
+  { env; locs; loc_index; out_edges; in_edges }
 
 let env t = t.env
 

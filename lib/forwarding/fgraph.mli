@@ -39,8 +39,6 @@ type t = {
   loc_index : (loc, int) Hashtbl.t;
   mutable out_edges : edge list array;
   mutable in_edges : edge list array;
-  varsets : (int list, Bdd.varset) Hashtbl.t;
-      (** memoized extra-bit varsets (stable operation-cache codes) *)
 }
 
 (** Zone bits occupy extra bits 0..3; waypoint instrumentation should use

@@ -79,6 +79,14 @@ let reload rib routes =
   rib.trie <- !trie;
   Hashtbl.reset rib.delta
 
+(* [assign rib ~from] points [rib] at [from]'s contents. The trie is
+   persistent and every mutator above replaces it rather than editing it, so
+   sharing it is safe in both directions; [rib] keeps its own comparator, cap
+   and (reset) delta table. *)
+let assign rib ~from =
+  rib.trie <- from.trie;
+  Hashtbl.reset rib.delta
+
 let withdraw rib r =
   let key = Route.candidate_key r in
   update_entry rib r.Route.net (fun cands ->

@@ -29,6 +29,15 @@ val merge : t -> Route.t -> unit
     tracked by comparing RIB snapshots instead. *)
 val reload : t -> Route.t list -> unit
 
+(** [assign rib ~from] gives [rib] exactly [from]'s candidates and best sets
+    in O(1), by sharing [from]'s persistent trie: later changes to either RIB
+    replace its own trie and never reach the other. [rib] keeps its own
+    comparator and multipath cap (the stored best sets are [from]'s, so the
+    two should select alike) and its delta table is reset. Built for the
+    incremental engine, which starts a node whose inputs did not change from
+    its base fixed point instead of re-deriving it. *)
+val assign : t -> from:t -> unit
+
 (** Remove the candidate with the same key as this route. *)
 val withdraw : t -> Route.t -> unit
 

@@ -15,8 +15,7 @@ type t = {
   to_primed : Bdd.perm;
   identity_cache : (Field.t, Bdd.t) Hashtbl.t;
   mutable swap_perm : Bdd.perm option;
-  mutable extras_vs : Bdd.varset option;
-  extra_vs : Bdd.varset option array;
+  extra_varsets : (int list, Bdd.varset) Hashtbl.t;  (* keyed by levels *)
 }
 
 let field_sequence order =
@@ -80,7 +79,7 @@ let create ?(order = Paper_order) ?(extra_bits = 8) () =
     to_unprimed = Bdd.perm man (List.map (fun (u, p) -> (p, u)) pairs);
     to_primed = Bdd.perm man pairs;
     identity_cache = Hashtbl.create 8; swap_perm = None;
-    extras_vs = None; extra_vs = Array.make extra_bits None }
+    extra_varsets = Hashtbl.create 8 }
 
 let man env = env.man
 let order env = env.order
@@ -100,31 +99,23 @@ let extra_level env i =
 
 let extra env i = Bdd.var env.man (extra_level env i)
 
-(* The varsets that strip extra bits are built on first use and kept: a
-   varset minted per call would take a fresh manager id each time, for
-   good, and never hit the op cache on a repeated query. *)
-let strip_extra env i set =
-  let level = extra_level env i in
-  let vs =
-    match env.extra_vs.(i) with
-    | Some vs -> vs
-    | None ->
-      let vs = Bdd.varset env.man [ level ] in
-      env.extra_vs.(i) <- Some vs;
-      vs
-  in
-  Bdd.exists env.man vs set
+(* Varsets over extra bits are built on first use and kept for the life of
+   the environment (and so of its manager): a varset minted per call — or
+   per forwarding graph — would take a fresh manager id each time, for good,
+   and never hit the op cache on a repeated query. *)
+let extra_varset env bits =
+  let levels = List.map (extra_level env) bits in
+  match Hashtbl.find_opt env.extra_varsets levels with
+  | Some vs -> vs
+  | None ->
+    let vs = Bdd.varset env.man levels in
+    Hashtbl.add env.extra_varsets levels vs;
+    vs
+
+let strip_extra env i set = Bdd.exists env.man (extra_varset env [ i ]) set
 
 let strip_extras env set =
-  let vs =
-    match env.extras_vs with
-    | Some vs -> vs
-    | None ->
-      let vs = Bdd.varset env.man (List.init env.extra_count (extra_level env)) in
-      env.extras_vs <- Some vs;
-      vs
-  in
-  Bdd.exists env.man vs set
+  Bdd.exists env.man (extra_varset env (List.init env.extra_count Fun.id)) set
 
 let value_on env lvls v =
   let bits = Array.length lvls in

@@ -36,6 +36,12 @@ val extra_level : t -> int -> int
 (** The set where extra bit [i] is set. *)
 val extra : t -> int -> Bdd.t
 
+(** The varset over extra bits [bits] (indices, as for {!extra_level}),
+    built once per environment and shared by every caller — forwarding
+    graphs included — so repeated quantifications reuse one manager id and
+    its op-cache entries. *)
+val extra_varset : t -> int list -> Bdd.varset
+
 (** [strip_extra env i s] quantifies extra bit [i] out of [s]. *)
 val strip_extra : t -> int -> Bdd.t -> Bdd.t
 

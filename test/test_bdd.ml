@@ -336,7 +336,7 @@ type instr =
   | Irestrict of int * bool * int
   | Icompose of int
 
-let ks = 6 (* unprimed levels 0, 2, .., 10; primed 1, 3, .., 11 *)
+let ks = 12 (* unprimed levels 0, 2, .., 22; primed 1, 3, .., 23 *)
 
 let instr_gen =
   QCheck.Gen.(
@@ -365,23 +365,41 @@ let instr_print = function
   | Irestrict (k, b, a) -> Printf.sprintf "restrict x%d=%b %d" (2 * k) b a
   | Icompose a -> Printf.sprintf "compose %d" a
 
+(* A program: a seed for the registers' random functions, then the
+   instructions. *)
 let program_arb =
   QCheck.make
-    ~print:(fun l -> String.concat "; " (List.map instr_print l))
-    QCheck.Gen.(list_size (int_range 1 80) instr_gen)
+    ~print:(fun (seed, l) ->
+      Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map instr_print l)))
+    QCheck.Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 200) instr_gen))
+
+(* Random functions over all [ks] unprimed levels: each a disjunction of
+   random cubes, built with [bor]/[band] so that seeding alone costs the
+   manager several thousand op-cache misses. *)
+let seed_functions m seed =
+  let rng = Random.State.make [| seed |] in
+  let literal () =
+    let lvl = 2 * Random.State.int rng ks in
+    if Random.State.bool rng then Bdd.var m lvl else Bdd.nvar m lvl
+  in
+  let cube () = List.fold_left (Bdd.band m) Bdd.top (List.init 5 (fun _ -> literal ())) in
+  List.init 8 (fun _ -> List.fold_left (Bdd.bor m) Bdd.bot (List.init 32 (fun _ -> cube ())))
 
 (* Runs a program in a fresh manager and returns every intermediate
-   result in order, plus the final node count. *)
-let run_program ~cache_bits prog =
+   result in order, the final node count, and the op cache's final
+   capacity. *)
+let run_program ~cache_bits (seed, prog) =
   let m = Bdd.create ~cache_bits ~nvars:(2 * ks) () in
   let unprimed = List.init ks (fun k -> 2 * k) in
   let quants =
-    [| Bdd.varset m [ 0; 2 ]; Bdd.varset m [ 4; 8; 10 ]; Bdd.varset m unprimed |]
+    [| Bdd.varset m [ 0; 2 ]; Bdd.varset m [ 4; 8; 10; 16 ]; Bdd.varset m unprimed |]
   in
   let to_primed = Bdd.perm m (List.map (fun u -> (u, u + 1)) unprimed) in
   let to_unprimed = Bdd.perm m (List.map (fun u -> (u + 1, u)) unprimed) in
   let swap = Bdd.perm m [ (0, 6); (6, 0); (2, 4); (4, 2) ] in
-  let regs = ref (Array.of_list (List.map (Bdd.var m) unprimed)) in
+  let regs =
+    ref (Array.of_list (List.map (Bdd.var m) unprimed @ seed_functions m seed))
+  in
   let reg i = !regs.(i mod Array.length !regs) in
   let step = function
     | Iand (a, b) -> Bdd.band m (reg a) (reg b)
@@ -405,14 +423,19 @@ let run_program ~cache_bits prog =
         r)
       prog
   in
-  (results, Bdd.node_count m)
+  (results, Bdd.node_count m, (Bdd.cache_stats m).Bdd.cs_entries)
 
 (* Node ids are a function of the operation sequence alone: the op cache
    decides only what is recomputed, and a recomputation finds every node
-   it builds already in the unique table. *)
+   it builds already in the unique table. The two-entry manager crosses its
+   first 4096-miss pressure check and grows, so hits, promotions, victim
+   demotions and regrows all happen while the ids are compared. *)
 let node_ids_cache_independent =
   qtest "node ids independent of cache size" program_arb (fun prog ->
-      run_program ~cache_bits:1 prog = run_program ~cache_bits:16 prog)
+      let results1, nodes1, entries1 = run_program ~cache_bits:1 prog in
+      let results16, nodes16, _ = run_program ~cache_bits:16 prog in
+      if entries1 <= 2 then QCheck.Test.fail_reportf "cache_bits 1 never grew";
+      results1 = results16 && nodes1 = nodes16)
 
 (* Random functions over 16 levels, built from truth tables, push a manager
    past four node-table doublings (1024 -> 16384 slots) and several

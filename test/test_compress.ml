@@ -165,8 +165,7 @@ let crafted_star_ratio () =
       in_edges.(e.Fgraph.e_to) <- e :: in_edges.(e.Fgraph.e_to))
     edges;
   let g =
-    { Fgraph.env; locs; loc_index; out_edges; in_edges;
-      varsets = Hashtbl.create 4 }
+    { Fgraph.env; locs; loc_index; out_edges; in_edges }
   in
   let p = Fcompress.base g `Fwd in
   if Fcompress.ratio p >= 0.5 then

@@ -113,10 +113,9 @@ let profile_identity () =
 
 (* --- many seeded single-file edits -------------------------------------- *)
 
-let seeded_edits () =
-  let nets = [ profile "NET1"; profile "NET3"; profile "NET5"; profile "NET7" ] in
+let seeded_edits_over nets ~seeds () =
   let identical = ref 0 in
-  for seed = 1 to 100 do
+  for seed = 1 to seeds do
     let p = List.nth nets (seed mod List.length nets) in
     let net = p.Netgen.p_make 0.25 in
     let net', changed_file = edit ~seed net in
@@ -130,7 +129,20 @@ let seeded_edits () =
     counters_consistent (Printf.sprintf "seed %d" seed) dp' rep;
     incr identical
   done;
-  check Alcotest.int "100 edits, 100 identical" 100 !identical
+  check Alcotest.int
+    (Printf.sprintf "%d edits, %d identical" seeds seeds)
+    seeds !identical
+
+let seeded_edits =
+  seeded_edits_over
+    [ profile "NET1"; profile "NET3"; profile "NET5"; profile "NET7" ]
+    ~seeds:100
+
+(* NET8 runs iBGP route reflectors over OSPF, so [igp_cost] and multihop
+   session viability read the main RIB there; NET11 is the three-tier eBGP
+   fabric whose router ids come from loopbacks. *)
+let seeded_edits_ibgp_clos =
+  seeded_edits_over [ profile "NET8"; profile "NET11" ] ~seeds:50
 
 (* --- multi-component reuse ---------------------------------------------- *)
 
@@ -407,10 +419,148 @@ let nat_differential () =
       check Alcotest.bool (name ^ " flows checked") true (flows > 0))
     [ ("NET1", 7); ("NET7", 11) ]
 
+(* --- quiet visits: change sets like the edit-stream benchmark's ---------- *)
+
+let tier name =
+  let has sub = Re.execp (Re.compile (Re.str sub)) name in
+  if has "-ss" then "ss" else if has "spine" then "spine" else "leaf"
+
+(* One change set: each (kind, tier) edit lands on a distinct device of that
+   tier ("any" for no constraint), chosen and detailed by [rng]. Returns the
+   edited files, to apply over [files]. *)
+let change_set ~rng files slots =
+  let files = Array.of_list files in
+  let chosen = Hashtbl.create 4 in
+  List.map
+    (fun (kind, want) ->
+      let rec pick () =
+        let j = Rng.int rng (Array.length files) in
+        let name, text = files.(j) in
+        if Hashtbl.mem chosen j || (want <> "any" && tier name <> want) then pick ()
+        else
+          match Chaos.semantic_edit ~rng ~kind text with
+          | Some (text', _) ->
+            Hashtbl.add chosen j ();
+            (name, text')
+          | None -> pick ()
+      in
+      pick ())
+    slots
+
+let apply_files files edited =
+  List.map
+    (fun (name, text) -> (name, Option.value (List.assoc_opt name edited) ~default:text))
+    files
+
+(* [bf'] must answer exactly like a scratch analysis of [files]. *)
+let same_as_scratch name ~env bf' files =
+  let scratch = Batfish.init ~env (Batfish.Snapshot.of_texts files) in
+  let dp' = Batfish.dataplane bf' and dps = Batfish.dataplane scratch in
+  check Alcotest.bool (name ^ " routing state identical") true
+    (routing_state dp' = routing_state dps);
+  check Alcotest.bool (name ^ " sessions identical") true
+    (dp'.Dataplane.sessions = dps.Dataplane.sessions);
+  let q' = Batfish.forwarding bf' and qs = Batfish.forwarding scratch in
+  check Alcotest.bool (name ^ " graph spec identical") true
+    (Fgraph.to_spec (Fquery.graph q') = Fgraph.to_spec (Fquery.graph qs));
+  check Alcotest.bool (name ^ " all-pairs rows identical") true
+    (Fquery.all_pairs q' () = Fquery.all_pairs qs ())
+
+let net11_change_sets () =
+  let net = (profile "NET11").p_make 0.5 in
+  let env = net.Netgen.n_env and base_files = net.Netgen.n_configs in
+  let bf = load net in
+  ignore (Batfish.forwarding bf);
+  let sets =
+    [ ("ss loopback + leaf acl", [ ("add-loopback", "ss"); ("add-acl-line", "leaf"); ("comment-edit", "any") ]);
+      ("ss loopback + leaf loopback", [ ("add-loopback", "ss"); ("add-loopback", "leaf"); ("comment-edit", "any") ]);
+      ("ss shutdown", [ ("toggle-shutdown", "ss") ]);
+      ("leaf session dropped", [ ("drop-bgp-neighbor", "leaf") ]) ]
+  in
+  List.iteri
+    (fun k (name, slots) ->
+      let rng = Rng.create (k + 1) in
+      let edited = change_set ~rng base_files slots in
+      let files = apply_files base_files edited in
+      let bf', rep = Batfish.update ~files:edited bf in
+      same_as_scratch name ~env bf' files;
+      counters_consistent name (Batfish.dataplane bf') rep;
+      (* a warm result is the next update's base: chain a second set *)
+      let slots2 = List.nth sets ((k + 1) mod List.length sets) |> snd in
+      let edited2 = change_set ~rng files slots2 in
+      let bf'', rep2 = Batfish.update ~files:edited2 bf' in
+      same_as_scratch (name ^ ", then another set") ~env bf'' (apply_files files edited2);
+      counters_consistent (name ^ ", then another set") (Batfish.dataplane bf'') rep2)
+    sets
+
+(* A superspine loopback becomes its router id (clos3 superspines set no
+   [bgp router-id]), so every route it sends changes and the whole fabric is
+   woken; most visits find their BGP inputs unchanged and skip the
+   re-derivation, so there are fewer derivation passes than two per visited
+   node (a re-derivation takes at least two). *)
+let quiet_visits_engage () =
+  let net = (profile "NET11").p_make 0.5 in
+  let bf = load net in
+  ignore (Batfish.dataplane bf);
+  let edited =
+    change_set ~rng:(Rng.create 1) net.Netgen.n_configs
+      [ ("add-loopback", "ss"); ("add-acl-line", "leaf"); ("comment-edit", "any") ]
+  in
+  let bf', rep = Batfish.update ~files:edited bf in
+  let dp' = Batfish.dataplane bf' in
+  check Alcotest.int "one component" 1 (List.length dp'.Dataplane.components);
+  check Alcotest.int "the whole fabric is visited"
+    (List.length dp'.Dataplane.node_order) rep.Batfish.up_frontier_size;
+  check Alcotest.bool "fewer passes than two per visited node" true
+    (dp'.Dataplane.rounds < 2 * rep.Batfish.up_frontier_size);
+  check Alcotest.bool "some visits converged early" true
+    (rep.Batfish.up_nodes_converged_early > 0)
+
+(* --- forwarding graphs of one lineage share extra-bit varsets ----------- *)
+
+let varsets_shared_across_updates () =
+  let net = (profile "NET8").p_make 0.25 in
+  let bf = ref (load net) in
+  (* answering a query applies the graph's zone edges, whose
+     [Set_extra]/[Erase_extra] quantifications take the varsets *)
+  let man () =
+    let q = Batfish.forwarding !bf in
+    ignore (Fquery.all_pairs q ());
+    Pktset.man (Fquery.env q)
+  in
+  let files = ref net.Netgen.n_configs in
+  let before = Bdd.aux_count (man ()) in
+  let rng = Rng.create 5 in
+  (* single-loopback updates until five of them rebuilt the graph (a
+     loopback no route carries leaves the forwarding state alone) *)
+  let rec go rebuilt counts budget =
+    if rebuilt = 5 then List.rev counts
+    else if budget = 0 then Alcotest.fail "too few loopback edits rebuilt the graph"
+    else begin
+      let edited = change_set ~rng !files [ ("add-loopback", "any") ] in
+      files := apply_files !files edited;
+      let bf', rep = Batfish.update ~files:edited !bf in
+      bf := bf';
+      if rep.Batfish.up_forwarding_rebuilt then
+        go (rebuilt + 1) (Bdd.aux_count (man ()) :: counts) (budget - 1)
+      else go rebuilt counts (budget - 1)
+    end
+  in
+  let counts = go 0 [] 40 in
+  check (Alcotest.list Alcotest.int) "no varset/perm id minted per graph"
+    (List.map (fun _ -> before) counts)
+    counts
+
 let suites =
   [ ( "incremental",
       [ Alcotest.test_case "per-profile bit-identity" `Quick profile_identity;
         Alcotest.test_case "100 seeded edits identical" `Slow seeded_edits;
+        Alcotest.test_case "NET8/NET11 seeded edits identical" `Slow
+          seeded_edits_ibgp_clos;
+        Alcotest.test_case "NET11 change sets, chained" `Quick net11_change_sets;
+        Alcotest.test_case "quiet visits engage" `Quick quiet_visits_engage;
+        Alcotest.test_case "update graphs share varsets" `Quick
+          varsets_shared_across_updates;
         Alcotest.test_case "multi-component reuse" `Quick component_reuse;
         Alcotest.test_case "chain frontier stops" `Quick chain_frontier_stops;
         Alcotest.test_case "no-op advert edit" `Quick noop_advert_edit;
