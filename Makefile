@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench-smoke bench-sweep bench-daemon bench-failures bench-cold bench-edit check clean
+.PHONY: all build test lint bench-smoke bench-sweep bench-daemon bench-failures bench-cold bench-edit bench-gate check clean
 
 all: build
 
@@ -64,6 +64,18 @@ bench-cold:
 # more or fewer fails here. Prints the one-line JSON result.
 bench-edit:
 	python3 perfbench/run.py --workload edit-stream --seed 1
+
+# All four digest gates in turn: cold-snapshot, edit-stream, daemon-queries
+# and failure-sweep at seed 1. Each result line is printed; the first run
+# that fails or whose result is not "correct":true stops the target with
+# exit 1.
+bench-gate:
+	@for t in bench-cold bench-edit bench-daemon bench-failures; do \
+	  out=$$($(MAKE) -s --no-print-directory $$t) || { echo "bench-gate: $$t failed" >&2; exit 1; }; \
+	  echo "$$out"; \
+	  echo "$$out" | tail -n 1 | grep -q '"correct":true' \
+	    || { echo "bench-gate: $$t is not correct" >&2; exit 1; }; \
+	done
 
 # The full gate: everything compiles, every test passes (which includes
 # linting the example fixtures via the runtest alias), and the bench smoke

@@ -31,22 +31,36 @@ type node_result = {
   nr_fib : Fib.t;
 }
 
-(* One receiver-side BGP wire snapshot: the exact (arrival-free, sorted)
-   route set arriving over one established internal session, as produced by
-   the sender's export pipeline. Keyed from the receiver side because
-   sessions can be asymmetric (per-side multihop/update-source). The
-   incremental engine compares these sets to decide whether a neighbor's
-   inputs actually changed. *)
+(* A wire held as segments: the non-empty exports of the sender's best
+   routes net by net, in ascending net order. [Stdlib.compare] on nets is
+   the order [canonical_route_order] puts them in ([net] is [Route.t]'s
+   first field), so the segments concatenated are the flat wire. Export
+   never rewrites a route's net, so a segment's net — its key — is the net
+   of its routes. *)
+type wire = Route.t list array
+
+(* One receiver-side BGP wire snapshot: the exact (arrival-free, canonically
+   ordered) route list arriving over one established internal session, as
+   produced by the sender's export pipeline, held as per-net segments so
+   that a sender whose best sets moved re-exports only the moved nets.
+   Keyed from the receiver side because sessions can be asymmetric
+   (per-side multihop/update-source). The incremental engine compares these
+   wires to decide whether a neighbor's inputs actually changed. *)
 type export_entry = {
   ex_receiver : string;
   ex_peer_ip : Ipv4.t;  (* the sender-side session address (receiver's view) *)
   ex_local_ip : Ipv4.t;  (* the receiver-side session address *)
   ex_is_ibgp : bool;
   ex_sender : string;
-  mutable ex_wire : Route.t list;  (* arrival-zeroed, sorted, deduped *)
+  mutable ex_reverse : Vi.bgp_neighbor;
+      (* the sender's neighbor stanza for this session, from the sender's
+         current config up to its source line *)
+  mutable ex_wire : wire;
 }
 
-type remote = Internal of int | External of Dp_env.external_peer
+(* An internal remote carries the peer's index and the peer's neighbor
+   stanza pointing back at us. *)
+type remote = Internal of int * Vi.bgp_neighbor | External of Dp_env.external_peer
 
 (* A node's BGP session set, exactly: per established session the peer and
    local addresses, the remote, the iBGP flag and both neighbor stanzas; then
@@ -54,8 +68,7 @@ type remote = Internal of int | External of Dp_env.external_peer
    this set and the wires arriving over it, so the incremental engine keeps
    a node's RIBs while both are unchanged. *)
 type session_key =
-  (Ipv4.t * Ipv4.t * remote * bool * Vi.bgp_neighbor * Vi.bgp_neighbor option) list
-  * (Vi.bgp_neighbor * string) list
+  (Ipv4.t * Ipv4.t * remote * bool * Vi.bgp_neighbor) list * (Vi.bgp_neighbor * string) list
 
 (* Result of simulating one dependency component (see [component_partition]).
    Retained inside [t] so that [update] can splice unchanged components'
@@ -78,6 +91,7 @@ type comp_result = {
   cr_exports : export_entry list;
   cr_session_keys : (string * session_key) list;
       (* per member, the session set its BGP RIBs were derived from *)
+  cr_configs : Vi.t list;  (* the members' configs, which its wires were exported under *)
   cr_ospf_digest : string;  (* digest of the last SPF inputs used *)
   cr_delta_safe : bool;
       (* false when the fixed point is timing-dependent (an arrival-decided
@@ -93,6 +107,8 @@ type stats = {
   st_reused_nodes : int;
   st_frontier_nodes : int;
   st_converged_early : int;
+  st_exported_routes : int;
+  st_imported_routes : int;
 }
 
 type t = {
@@ -117,7 +133,6 @@ type session = {
   ss_local_ip : Ipv4.t;
   ss_peer_ip : Ipv4.t;
   ss_neighbor : Vi.bgp_neighbor;  (* our side's neighbor stanza *)
-  ss_reverse : Vi.bgp_neighbor option;  (* the peer's stanza pointing back *)
   ss_is_ibgp : bool;
   ss_remote : remote;
   mutable ss_consumed : int;
@@ -146,7 +161,7 @@ type node = {
 let session_key node : session_key =
   ( List.map
       (fun s ->
-        (s.ss_peer_ip, s.ss_local_ip, s.ss_remote, s.ss_is_ibgp, s.ss_neighbor, s.ss_reverse))
+        (s.ss_peer_ip, s.ss_local_ip, s.ss_remote, s.ss_is_ibgp, s.ss_neighbor))
       node.sessions,
     node.down_sessions )
 
@@ -192,6 +207,16 @@ let igp_cost node ip =
     if Route_proto.is_bgp r.Route.protocol then Some (1_000_000 + r.Route.metric)
     else Some r.Route.metric
   | Some (_, []) | None -> None
+
+(* What a node's export pipeline reads of its config ([export_route] and the
+   sender-side policies it runs): the vendor (policy semantics), the router
+   id, the BGP process, and the lists and route maps policies look up —
+   without source lines, which move with edits elsewhere in the file. Two
+   configs with equal views export each best route alike. *)
+let export_config (cfg : Vi.t) =
+  let c = Vi.strip_provenance cfg in
+  (c.vendor, find_router_id cfg, c.bgp, c.prefix_lists, c.community_lists, c.as_path_lists,
+   c.route_maps)
 
 let make_node idx (cfg : Vi.t) =
   let main_rib =
@@ -443,8 +468,8 @@ let establish_sessions ?(peer_quarantined = fun _ -> false) env topo nodes node_
                       else
                         sessions :=
                           { ss_local_ip = local_ip; ss_peer_ip = nbr.bn_peer;
-                            ss_neighbor = nbr; ss_reverse = Some rn;
-                            ss_is_ibgp = is_ibgp; ss_remote = Internal ridx;
+                            ss_neighbor = nbr; ss_is_ibgp = is_ibgp;
+                            ss_remote = Internal (ridx, rn);
                             ss_consumed = 0 }
                           :: !sessions
                     end)))
@@ -471,7 +496,7 @@ let establish_sessions ?(peer_quarantined = fun _ -> false) env topo nodes node_
                   else
                     sessions :=
                       { ss_local_ip = local_ip; ss_peer_ip = nbr.bn_peer;
-                        ss_neighbor = nbr; ss_reverse = None; ss_is_ibgp = false;
+                        ss_neighbor = nbr; ss_is_ibgp = false;
                         ss_remote = External xp; ss_consumed = 0 }
                       :: !sessions)))
       bgp.bp_neighbors;
@@ -489,8 +514,10 @@ let next_arrival options node =
 
 (* Export r from [sender] toward the peer described by [rev] (the sender's
    neighbor stanza for the receiver). [sender_ip] is the sender's session
-   address. Returns the route as it appears on the wire. *)
-let export_route sender (rev : Vi.bgp_neighbor) ~sender_ip ~receiver_ip ~is_ibgp r =
+   address and [ctx] the sender's policy context with it as [self_ip],
+   built once per session rather than once per route. Returns the route as
+   it appears on the wire. *)
+let export_route ~ctx sender (rev : Vi.bgp_neighbor) ~sender_ip ~receiver_ip ~is_ibgp r =
   let open Route in
   if r.from_peer = receiver_ip then None (* don't echo back to the sender *)
   else
@@ -536,7 +563,6 @@ let export_route sender (rev : Vi.bgp_neighbor) ~sender_ip ~receiver_ip ~is_ibgp
     | Some attrs -> (
       let r = { r with attrs = Some attrs } in
       (* Sender-side policy, in the sender's configuration context. *)
-      let ctx = Policy_eval.make_ctx ~self_ip:sender_ip sender.cfg in
       let pl_ok =
         match rev.bn_prefix_list_out with
         | Some pl -> Policy_eval.run_prefix_list_named ctx pl r.net
@@ -547,34 +573,34 @@ let export_route sender (rev : Vi.bgp_neighbor) ~sender_ip ~receiver_ip ~is_ibgp
         match Policy_eval.run_optional ctx rev.bn_export_policy r with
         | Policy_eval.Denied -> None
         | Policy_eval.Accepted r ->
+          (* One re-interned update: weight reset, communities stripped
+             unless sent, and on eBGP the rewrites below. *)
           let attrs = Route.get_attrs r in
-          let attrs = Attrs.update ~weight:0 attrs in
-          let attrs =
-            if rev.bn_send_community then attrs else Attrs.update ~communities:[] attrs
-          in
-          let sender_as =
-            Option.value rev.bn_local_as
-              ~default:
-                (match sender.cfg.Vi.bgp with
-                 | Some b -> b.bp_as
-                 | None -> 0)
-          in
+          let communities = if rev.bn_send_community then None else Some [] in
           let r =
             if not is_ibgp then
               (* eBGP: prepend our AS, set next hop to our address, reset
                  local preference for the receiver. *)
+              let sender_as =
+                Option.value rev.bn_local_as
+                  ~default:
+                    (match sender.cfg.Vi.bgp with
+                     | Some b -> b.bp_as
+                     | None -> 0)
+              in
               { r with
                 attrs =
                   Some
-                    (Attrs.update ~as_path:(sender_as :: attrs.Attrs.as_path)
-                       ~local_pref:100 ~originator_id:0 ~cluster_list:[] attrs);
+                    (Attrs.update ~weight:0 ?communities
+                       ~as_path:(sender_as :: attrs.Attrs.as_path) ~local_pref:100
+                       ~originator_id:0 ~cluster_list:[] attrs);
                 next_hop = Nh_ip sender_ip }
             else
               let nh =
                 if rev.bn_next_hop_self || r.from_peer = 0 then Nh_ip sender_ip
                 else r.next_hop
               in
-              { r with attrs = Some attrs; next_hop = nh }
+              { r with attrs = Some (Attrs.update ~weight:0 ?communities attrs); next_hop = nh }
           in
           Some { r with from_peer = 0; from_rid = sender.router_id })
 
@@ -741,13 +767,9 @@ let process_node options nodes ~round ~visible node =
     (fun s ->
       match s.ss_remote with
       | External _ -> () (* external announcements injected at session setup *)
-      | Internal ridx ->
+      | Internal (ridx, rev) ->
         let sender = nodes.(ridx) in
-        let rev =
-          match s.ss_reverse with
-          | Some rn -> rn
-          | None -> Vi.bgp_neighbor_default s.ss_local_ip 0
-        in
+        let ctx = Policy_eval.make_ctx ~self_ip:s.ss_peer_ip sender.cfg in
         (* Oldest unconsumed publication first. *)
         let pubs =
           List.filter (fun p -> p.pub_version > s.ss_consumed && visible p)
@@ -777,7 +799,7 @@ let process_node options nodes ~round ~visible node =
               (fun (r : Route.t) ->
                 let accepted =
                   match
-                    export_route sender rev ~sender_ip:s.ss_peer_ip
+                    export_route ~ctx sender rev ~sender_ip:s.ss_peer_ip
                       ~receiver_ip:s.ss_local_ip ~is_ibgp:s.ss_is_ibgp r
                   with
                   | None -> None
@@ -878,11 +900,98 @@ let prebgp_digest env node =
    two equal wire lists mean the receiver's inputs over this session — and
    hence its kept candidates — are unchanged. *)
 let wire_routes ~sender ~rev ~sender_ip ~receiver_ip ~is_ibgp =
+  let ctx = Policy_eval.make_ctx ~self_ip:sender_ip sender.cfg in
   Rib.best_routes sender.bgp_rib
   |> List.sort canonical_route_order
   |> List.filter_map (fun r ->
-         export_route sender rev ~sender_ip ~receiver_ip ~is_ibgp r)
+         export_route ~ctx sender rev ~sender_ip ~receiver_ip ~is_ibgp r)
   |> List.map (fun (r : Route.t) -> { r with Route.arrival = 0 })
+
+(* One net's segment of that list: the net's best routes, canonically
+   ordered, through the export pipeline, arrival-zeroed. *)
+let wire_segment ~ctx ~sender ~rev ~sender_ip ~receiver_ip ~is_ibgp best =
+  List.sort canonical_route_order best
+  |> List.filter_map (fun r ->
+         Option.map
+           (fun (w : Route.t) -> { w with Route.arrival = 0 })
+           (export_route ~ctx sender rev ~sender_ip ~receiver_ip ~is_ibgp r))
+
+let segment_net seg = (List.hd seg).Route.net
+
+(* The index of net [p]'s segment in [wire], by binary search. *)
+let segment_index (wire : wire) p =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = compare (segment_net wire.(mid)) p in
+      if c = 0 then Some mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length wire)
+
+(* [wire] with the segments of [updates] — (net, segment) pairs in
+   ascending net order, [[]] for no segment — spliced in. Physically [wire]
+   when no segment changed; unchanged segments stay shared. *)
+let splice_segments (wire : wire) updates =
+  let current p = match segment_index wire p with Some k -> wire.(k) | None -> [] in
+  match List.filter (fun (p, seg) -> seg <> current p) updates with
+  | [] -> wire
+  | edits ->
+    let n = Array.length wire in
+    let rec go i edits acc =
+      match edits with
+      | [] -> List.rev_append acc (Array.to_list (Array.sub wire i (n - i)))
+      | (p, seg) :: rest ->
+        if i < n && compare (segment_net wire.(i)) p < 0 then go (i + 1) edits (wire.(i) :: acc)
+        else
+          let i = if i < n && segment_net wire.(i) = p then i + 1 else i in
+          go i rest (if seg = [] then acc else seg :: acc)
+    in
+    Array.of_list (go 0 edits [])
+
+(* [wire_routes] as segments. [exported] counts the routes run through the
+   export pipeline. *)
+let wire_segments ~exported ~sender ~rev ~sender_ip ~receiver_ip ~is_ibgp : wire =
+  let ctx = Policy_eval.make_ctx ~self_ip:sender_ip sender.cfg in
+  Rib.fold_best
+    (fun p best acc ->
+      exported := !exported + List.length best;
+      match wire_segment ~ctx ~sender ~rev ~sender_ip ~receiver_ip ~is_ibgp best with
+      | [] -> acc
+      | seg -> (p, seg) :: acc)
+    sender.bgp_rib []
+  |> List.sort (fun (p, _) (q, _) -> compare p q)
+  |> List.map snd |> Array.of_list
+
+(* The flat wire list a wire's segments stand for. *)
+let wire_flatten (wire : wire) = List.concat (Array.to_list wire)
+
+(* What the export pipeline reads of a best route: all of it except the
+   router id it was learned from, which only iBGP reflection of an
+   iBGP-learned route reads (every exported route carries the sender's own
+   router id). A net whose best set changes only there — every route a
+   neighbor's router-id change reaches — exports the same segments. *)
+let export_view (r : Route.t) =
+  if r.Route.protocol = Route_proto.Ibgp then r else { r with Route.from_rid = 0 }
+
+(* The nets whose best sets differ, as far as export can see, between two
+   [rib_state]s, by one merge pass over the sorted lists, in ascending
+   order. *)
+let moved_nets a b =
+  let rec group p acc = function
+    | (q, r) :: rest when q = p -> group p (export_view r :: acc) rest
+    | rest -> (acc, rest)
+  in
+  let rec go acc a b =
+    match (a, b) with
+    | [], [] -> List.rev acc
+    | (pa, _) :: _, (pb, _) :: _ when compare pb pa < 0 -> next acc pb a b
+    | (p, _) :: _, _ | [], (p, _) :: _ -> next acc p a b
+  and next acc p a b =
+    let ga, a' = group p [] a and gb, b' = group p [] b in
+    go (if ga = gb then acc else p :: acc) a' b'
+  in
+  go [] a b
 
 (* An arrival-decided best-set boundary: two eBGP candidates for the same
    prefix that tie on every decision step before the arrival clock, only one
@@ -950,7 +1059,7 @@ let run_bgp options nodes ~skip ~on_fault =
            List.filter_map
              (fun s ->
                match s.ss_remote with
-               | Internal r -> Some (node.idx, r)
+               | Internal (r, _) -> Some (node.idx, r)
                | External _ -> None)
              node.sessions)
   in
@@ -1238,21 +1347,16 @@ let export_snapshots nodes =
         (fun s ->
           match s.ss_remote with
           | External _ -> ()
-          | Internal ridx ->
+          | Internal (ridx, rev) ->
             let sender = nodes.(ridx) in
-            let rev =
-              match s.ss_reverse with
-              | Some rn -> rn
-              | None -> Vi.bgp_neighbor_default s.ss_local_ip 0
-            in
             let wire =
-              wire_routes ~sender ~rev ~sender_ip:s.ss_peer_ip
+              wire_segments ~exported:(ref 0) ~sender ~rev ~sender_ip:s.ss_peer_ip
                 ~receiver_ip:s.ss_local_ip ~is_ibgp:s.ss_is_ibgp
             in
             entries :=
               { ex_receiver = node.cfg.Vi.hostname; ex_peer_ip = s.ss_peer_ip;
                 ex_local_ip = s.ss_local_ip; ex_is_ibgp = s.ss_is_ibgp;
-                ex_sender = sender.cfg.Vi.hostname; ex_wire = wire }
+                ex_sender = sender.cfg.Vi.hostname; ex_reverse = rev; ex_wire = wire }
               :: !entries)
         node.sessions)
     nodes;
@@ -1452,7 +1556,7 @@ let compute_component ~options ~env ~topo (comp : Vi.t list) =
                { sr_node = node.cfg.Vi.hostname; sr_peer = s.ss_peer_ip;
                  sr_remote_node =
                    (match s.ss_remote with
-                    | Internal i -> Some nodes.(i).cfg.Vi.hostname
+                    | Internal (i, _) -> Some nodes.(i).cfg.Vi.hostname
                     | External _ -> None);
                  sr_is_ibgp = s.ss_is_ibgp; sr_established = true;
                  sr_reason = None })
@@ -1482,12 +1586,18 @@ let compute_component ~options ~env ~topo (comp : Vi.t list) =
     cr_session_keys =
       Array.to_list nodes
       |> List.map (fun node -> (node.cfg.Vi.hostname, session_key node));
+    cr_configs = comp;
     cr_ospf_digest = ospf_digest;
     cr_delta_safe = delta_safe }
 
 (* --- warm per-node re-simulation: the route-delta worklist --- *)
 
-type warm_stats = { ws_simulated : int; ws_converged_early : int }
+type warm_stats = {
+  ws_simulated : int;
+  ws_converged_early : int;
+  ws_exported : int;
+  ws_imported : int;
+}
 
 (* Re-simulate a dirty component starting from [base_cr]'s converged fixed
    point, touching only the nodes the edit actually disturbs.
@@ -1662,7 +1772,8 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
   let prebgp_main = Array.make n None in
   (* The live wire table, seeded from the base snapshot and refreshed as
      nodes re-simulate. Entries are private copies: [ex_wire] is mutable and
-     the base's records must stay pristine. [incoming] indexes it by
+     the base's records must stay pristine (an entry shares its unchanged
+     segments with the base's). [incoming] indexes it by
      receiver (the sessions each member holds an entry for); [outgoing] by
      sender, in the table's own iteration order — the order [propagate]
      wakes receivers in — and is rebuilt after the key set changes. *)
@@ -1690,18 +1801,14 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
     end;
     outgoing.(i)
   in
-  let reverse_of sender (s : session) =
-    match s.ss_reverse with
-    | Some rn -> rn
-    | None ->
-      ignore sender;
-      Vi.bgp_neighbor_default s.ss_local_ip 0
-  in
-  (* Last BGP best-set state each node's outgoing wires were computed from:
-     a dequeued node re-exports (sender-side policy runs) only when its BGP
-     state actually moved, not on every visit. *)
+  (* Each node's BGP best-set state as of its last propagation (its outgoing
+     wires are that state's export): a dequeued node re-exports (sender-side
+     policy runs) only the nets whose best sets moved since, as export sees
+     them, not on every visit. *)
   let last_bgp_state = Array.map (fun nr -> lazy (rib_state nr.nr_bgp)) base_nr in
   let step_count = ref 0 in
+  (* Routes run through the export and import pipelines (counters). *)
+  let exported = ref 0 and imported = ref 0 in
   (* Keep the wire table's entry set in sync with [i]'s live sessions:
      entries are created for new sessions (computing their wire once from the
      sender's current view) and dropped for sessions that disappeared.
@@ -1717,7 +1824,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
       (fun s ->
         match s.ss_remote with
         | External _ -> ()
-        | Internal ridx ->
+        | Internal (ridx, rev) ->
           let sender = view.(ridx) in
           let current e =
             e.ex_local_ip = s.ss_local_ip
@@ -1731,13 +1838,12 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
              if not check_only then begin
                if found = None then incoming.(i) <- s.ss_peer_ip :: incoming.(i);
                outgoing_stale := true;
-               let rev = reverse_of sender s in
                Hashtbl.replace exports (name, s.ss_peer_ip)
                  { ex_receiver = name; ex_peer_ip = s.ss_peer_ip;
                    ex_local_ip = s.ss_local_ip; ex_is_ibgp = s.ss_is_ibgp;
-                   ex_sender = sender.cfg.Vi.hostname;
+                   ex_sender = sender.cfg.Vi.hostname; ex_reverse = rev;
                    ex_wire =
-                     wire_routes ~sender ~rev ~sender_ip:s.ss_peer_ip
+                     wire_segments ~exported ~sender ~rev ~sender_ip:s.ss_peer_ip
                        ~receiver_ip:s.ss_local_ip ~is_ibgp:s.ss_is_ibgp }
              end))
       nd.sessions;
@@ -1768,14 +1874,14 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
      export policies). Iterates because local originations, import best
      selection (IGP cost) and session viability read the node's own main.
      Returns the settled (main, bgp) states. *)
-  (* Receiver-side import results, cached per wire entry. [import_route] is a
-     pure function of (receiver config, session, sender router-id, wire
-     route) apart from the arrival stamp, and a wire list is replaced
-     wholesale whenever it is recomputed — so physical identity of [ex_wire]
-     (plus the sender rid) keys the policy evaluation exactly. Accepted
-     routes are cached arrival-free and restamped at merge time, in the same
-     session/route order the direct import loop would stamp them. *)
-  let import_cache : (string * Ipv4.t, Route.t list * int * Route.t list) Hashtbl.t =
+  (* Receiver-side import results, cached per wire entry. [import_route] is
+     a pure function of (receiver config, session, sender router-id, wire
+     route) apart from the arrival stamp, and a wire is replaced by a new
+     array whenever one of its segments changes — so physical identity of
+     [ex_wire] (plus the sender rid) keys the policy evaluation exactly.
+     Accepted routes are cached arrival-free and restamped at merge time, in
+     the same session/route order the direct import loop would stamp them. *)
+  let import_cache : (string * Ipv4.t, wire * int * Route.t list) Hashtbl.t =
     Hashtbl.create 64
   in
   let step i =
@@ -1804,22 +1910,24 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
         (fun s ->
           match s.ss_remote with
           | External _ -> ()
-          | Internal ridx -> (
+          | Internal (ridx, _) -> (
             match Hashtbl.find_opt exports (name, s.ss_peer_ip) with
             | None -> ()
             | Some e ->
               let sender_rid = view.(ridx).router_id in
-              let imported =
+              let imported_routes =
                 match Hashtbl.find_opt import_cache (name, s.ss_peer_ip) with
                 | Some (w, rid, imp) when w == e.ex_wire && rid = sender_rid -> imp
                 | _ ->
+                  let wire = wire_flatten e.ex_wire in
+                  imported := !imported + List.length wire;
                   let imp =
                     List.filter_map
                       (fun w ->
                         Option.map
                           (fun (r : Route.t) -> { r with Route.arrival = 0 })
                           (import_route options nd s ~sender_rid w))
-                      e.ex_wire
+                      wire
                   in
                   Hashtbl.replace import_cache (name, s.ss_peer_ip)
                     (e.ex_wire, sender_rid, imp);
@@ -1828,7 +1936,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
               List.iter
                 (fun (r : Route.t) ->
                   acc := { r with Route.arrival = next_arrival options nd } :: !acc)
-                imported))
+                imported_routes))
         nd.sessions;
       Rib.reload nd.bgp_rib (List.rev !acc);
       (* Rebuild the main RIB the same wholesale way: every non-BGP-learned
@@ -1860,40 +1968,79 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
     done;
     !cur
   in
-  (* The delta test: when this node's BGP state moved (or its config changed,
-     which can alter exports with the state unchanged), recompute its
-     outgoing wires and enqueue exactly the receivers whose inputs changed
-     (they turn dirty); a main-RIB transition additionally wakes the
-     configured partners (their session viability reads it). Returns true
-     when nothing downstream was disturbed. *)
+  (* Whether a member's export view differs from its base's: only then can
+     its exports change while its best sets stay the same. *)
+  let export_changed =
+    Array.map
+      (fun node ->
+        let name = node.cfg.Vi.hostname in
+        Hashtbl.mem changed_tbl name
+        &&
+        match List.find_opt (fun (c : Vi.t) -> c.Vi.hostname = name) base_cr.cr_configs with
+        | Some base -> export_config base <> export_config node.cfg
+        | None -> true)
+      nodes
+  in
+  (* Whether such a node's wires were re-exported under its new config. *)
+  let config_exported = Array.make n false in
+  (* The delta test: when this node's BGP best sets moved, re-export the
+     moved nets on every outgoing wire, splice them in, and enqueue exactly
+     the receivers whose wire changed (they turn dirty). A node whose export
+     view changed (which can alter exports with its state unchanged) looks
+     its neighbor stanzas up afresh and, on its first propagation, re-exports
+     every net; its wires then hold its new config's exports, so later
+     propagations re-export only moved nets again. A main-RIB transition
+     additionally wakes the configured partners (their session viability
+     reads it). Returns true when nothing downstream was disturbed. *)
   let propagate i (cur_main, cur_bgp) =
     let nd = nodes.(i) in
-    let name = nd.cfg.Vi.hostname in
     let quiet = ref true in
-    if cur_bgp <> Lazy.force last_bgp_state.(i) || Hashtbl.mem changed_tbl name then begin
-      last_bgp_state.(i) <- Lazy.from_val cur_bgp;
+    let changed = export_changed.(i) in
+    let full = changed && not config_exported.(i) in
+    if changed then config_exported.(i) <- true;
+    let moved = if full then [] else moved_nets cur_bgp (Lazy.force last_bgp_state.(i)) in
+    last_bgp_state.(i) <- Lazy.from_val cur_bgp;
+    if full || moved <> [] then begin
+      let all_nets = if full then Rib.fold_best (fun p _ acc -> p :: acc) nd.bgp_rib [] else [] in
       List.iter
         (fun e ->
           match Hashtbl.find_opt node_index e.ex_receiver with
           | None -> ()
           | Some j when materialized.(j) && j = i -> ()
           | Some j ->
-            let rev =
-              match nd.cfg.Vi.bgp with
-              | None -> None
-              | Some b ->
-                List.find_opt
-                  (fun (rn : Vi.bgp_neighbor) -> rn.Vi.bn_peer = e.ex_local_ip)
-                  b.bp_neighbors
+            let reexport nets =
+              let rev = e.ex_reverse in
+              let ctx = Policy_eval.make_ctx ~self_ip:e.ex_peer_ip nd.cfg in
+              splice_segments e.ex_wire
+                (List.map
+                   (fun p ->
+                     let best = Rib.best nd.bgp_rib p in
+                     exported := !exported + List.length best;
+                     ( p,
+                       wire_segment ~ctx ~sender:nd ~rev ~sender_ip:e.ex_peer_ip
+                         ~receiver_ip:e.ex_local_ip ~is_ibgp:e.ex_is_ibgp best ))
+                   nets)
             in
             let wire =
-              match rev with
-              | None -> []
-              | Some rev ->
-                wire_routes ~sender:nd ~rev ~sender_ip:e.ex_peer_ip
-                  ~receiver_ip:e.ex_local_ip ~is_ibgp:e.ex_is_ibgp
+              if not changed then reexport moved
+              else
+                match
+                  Option.bind nd.cfg.Vi.bgp (fun b ->
+                      List.find_opt
+                        (fun (rn : Vi.bgp_neighbor) -> rn.Vi.bn_peer = e.ex_local_ip)
+                        b.bp_neighbors)
+                with
+                | None -> if e.ex_wire = [||] then e.ex_wire else [||]
+                | Some rev ->
+                  e.ex_reverse <- rev;
+                  reexport
+                    (if full then
+                       List.sort_uniq compare
+                         (Array.fold_left (fun acc seg -> segment_net seg :: acc) all_nets
+                            e.ex_wire)
+                     else moved)
             in
-            if wire <> e.ex_wire then begin
+            if wire != e.ex_wire then begin
               e.ex_wire <- wire;
               quiet := false;
               enqueue_dirty j
@@ -1998,7 +2145,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
                  { sr_node = name; sr_peer = s.ss_peer_ip;
                    sr_remote_node =
                      (match s.ss_remote with
-                      | Internal i -> Some nodes.(i).cfg.Vi.hostname
+                      | Internal (i, _) -> Some nodes.(i).cfg.Vi.hostname
                       | External _ -> None);
                    sr_is_ibgp = s.ss_is_ibgp; sr_established = true;
                    sr_reason = None })
@@ -2034,9 +2181,11 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
         Array.to_list nodes
         |> List.filter_map (fun node ->
                Option.map (fun k -> (node.cfg.Vi.hostname, k)) derived_keys.(node.idx));
+      cr_configs = comp;
       cr_ospf_digest = ospf_digest;
       cr_delta_safe = true },
-    { ws_simulated = simulated; ws_converged_early = !early_count } )
+    { ws_simulated = simulated; ws_converged_early = !early_count;
+      ws_exported = !exported; ws_imported = !imported } )
 
 (* Any failed precondition or mid-flight surprise sends the component down
    the scratch path instead — slower, never wrong. *)
@@ -2103,7 +2252,9 @@ let compute ?(options = default_options) ?(env = Dp_env.empty) configs =
       st_simulated_nodes = List.length live;
       st_reused_nodes = 0;
       st_frontier_nodes = 0;
-      st_converged_early = 0 }
+      st_converged_early = 0;
+      st_exported_routes = 0;
+      st_imported_routes = 0 }
   in
   assemble ~configs ~topo ~pre_quarantined ~pre_diags ~stats comp_results
 
@@ -2136,6 +2287,7 @@ let update ?(options = default_options) ?(env = Dp_env.empty) ~base ~changed con
   in
   let reused_nodes = ref 0 and dirty = ref 0 and simulated = ref 0 in
   let frontier = ref 0 and early = ref 0 in
+  let exported = ref 0 and imported = ref 0 in
   let comp_results =
     List.map
       (fun comp ->
@@ -2155,6 +2307,8 @@ let update ?(options = default_options) ?(env = Dp_env.empty) ~base ~changed con
             reused_nodes := !reused_nodes + (n_members - ws.ws_simulated);
             frontier := !frontier + ws.ws_simulated;
             early := !early + ws.ws_converged_early;
+            exported := !exported + ws.ws_exported;
+            imported := !imported + ws.ws_imported;
             cr
           | None ->
             simulated := !simulated + n_members;
@@ -2173,7 +2327,9 @@ let update ?(options = default_options) ?(env = Dp_env.empty) ~base ~changed con
       st_simulated_nodes = !simulated;
       st_reused_nodes = !reused_nodes;
       st_frontier_nodes = !frontier;
-      st_converged_early = !early }
+      st_converged_early = !early;
+      st_exported_routes = !exported;
+      st_imported_routes = !imported }
   in
   assemble ~configs ~topo ~pre_quarantined ~pre_diags ~stats comp_results
 
@@ -2195,3 +2351,64 @@ let rib_words t =
     Hashtbl.fold (fun _ nr acc -> nr.nr_main :: nr.nr_bgp :: acc) t.nodes []
   in
   Obj.reachable_words (Obj.repr all)
+
+(* Test support: every stored wire against [wire_routes], the full flat
+   re-export it must equal. *)
+let wire_mismatches configs t =
+  let cfgs = Hashtbl.create 64 in
+  List.iter
+    (fun (c : Vi.t) ->
+      if not (Hashtbl.mem cfgs c.Vi.hostname) then Hashtbl.add cfgs c.Vi.hostname c)
+    configs;
+  let label e =
+    Printf.sprintf "%s <- %s (%s)" e.ex_receiver (Ipv4.to_string e.ex_peer_ip) e.ex_sender
+  in
+  List.concat_map
+    (fun cr ->
+      if not cr.cr_delta_safe then []
+      else
+        let live =
+          List.filter_map
+            (fun sr ->
+              if sr.sr_established && sr.sr_remote_node <> None then
+                Some (sr.sr_node, sr.sr_peer)
+              else None)
+            cr.cr_sessions
+          |> List.sort compare
+        in
+        let held =
+          List.map (fun e -> (e.ex_receiver, e.ex_peer_ip)) cr.cr_exports |> List.sort compare
+        in
+        let entry_set =
+          if live = held then []
+          else [ Printf.sprintf "component %s: entries do not match the live sessions"
+                   (String.concat "," cr.cr_members) ]
+        in
+        entry_set
+        @ List.filter_map
+            (fun e ->
+              match
+                (Hashtbl.find_opt cfgs e.ex_sender, List.assoc_opt e.ex_sender cr.cr_results)
+              with
+              | Some cfg, Some nr -> (
+                let sender = { (make_node 0 cfg) with bgp_rib = nr.nr_bgp } in
+                let rev =
+                  Option.bind cfg.Vi.bgp (fun b ->
+                      List.find_opt
+                        (fun (rn : Vi.bgp_neighbor) -> rn.Vi.bn_peer = e.ex_local_ip)
+                        b.bp_neighbors)
+                in
+                match rev with
+                | None -> Some (label e ^ ": sender has no stanza for the session")
+                | Some rev when { rev with bn_line = 0 } <> { e.ex_reverse with bn_line = 0 } ->
+                  Some (label e ^ ": stale sender stanza")
+                | Some rev ->
+                  let full =
+                    wire_routes ~sender ~rev ~sender_ip:e.ex_peer_ip ~receiver_ip:e.ex_local_ip
+                      ~is_ibgp:e.ex_is_ibgp
+                  in
+                  if full = wire_flatten e.ex_wire then None
+                  else Some (label e ^ ": wire differs from a full re-export"))
+              | _ -> Some (label e ^ ": unknown sender"))
+            cr.cr_exports)
+    t.comp_results

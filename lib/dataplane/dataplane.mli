@@ -70,6 +70,11 @@ type stats = {
   st_reused_nodes : int;
   st_frontier_nodes : int;
   st_converged_early : int;
+  st_exported_routes : int;
+      (** best routes the route-delta worklist ran through a sender's export
+          pipeline (0 when every dirty component ran from scratch) *)
+  st_imported_routes : int;
+      (** wire routes it ran through a receiver's import pipeline *)
 }
 
 type t = {
@@ -124,6 +129,14 @@ val update :
     (node, node) influence edges — L3 adjacencies plus resolved BGP
     sessions. *)
 val dependency_edges : topo:L3.t -> Vi.t list -> (string * string) list
+
+(** Test support: recompute every wire the result holds for the next
+    {!update} (one per established internal session of each delta-safe
+    component) with the sender's full export pipeline, and describe each
+    one that differs from the stored wire, or that is missing or extra.
+    [configs] are the configs [t] was computed from. [[]] means every
+    stored wire is exact. *)
+val wire_mismatches : Vi.t list -> t -> string list
 
 (** @raise Invalid_argument on an unknown node name; prefer {!node_opt}. *)
 val node : t -> string -> node_result

@@ -16,6 +16,22 @@ let all =
   [ Dst_ip; Src_ip; Dst_port; Src_port; Icmp_code; Icmp_type; Protocol;
     Tcp_flags; Dscp; Ecn; Fragment_offset; Packet_length ]
 
+let count = List.length all
+
+let index = function
+  | Dst_ip -> 0
+  | Src_ip -> 1
+  | Dst_port -> 2
+  | Src_port -> 3
+  | Icmp_code -> 4
+  | Icmp_type -> 5
+  | Protocol -> 6
+  | Tcp_flags -> 7
+  | Dscp -> 8
+  | Ecn -> 9
+  | Fragment_offset -> 10
+  | Packet_length -> 11
+
 let bits = function
   | Dst_ip | Src_ip -> 32
   | Dst_port | Src_port -> 16

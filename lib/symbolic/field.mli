@@ -25,6 +25,13 @@ type t =
   | Packet_length
 
 val all : t list
+
+(** [List.length all]. *)
+val count : int
+
+(** The field's position in {!all}, in [0, count). *)
+val index : t -> int
+
 val bits : t -> int
 val transformable : t -> bool
 val to_string : t -> string

@@ -287,17 +287,16 @@ let to_packet env ?(prefs = []) set =
   match Bdd.any_sat env.man set with
   | None -> None
   | Some assignment ->
-    let values = Hashtbl.create 16 in
-    List.iter (fun f -> Hashtbl.replace values f 0) Field.all;
+    let values = Array.make Field.count 0 in
     List.iter
       (fun (lvl, b) ->
         match env.level_field.(lvl) with
         | Some (f, i) when b ->
-          Hashtbl.replace values f
-            (Hashtbl.find values f lor (1 lsl (Field.bits f - 1 - i)))
+          let k = Field.index f in
+          values.(k) <- values.(k) lor (1 lsl (Field.bits f - 1 - i))
         | Some _ | None -> ())
       assignment;
-    let g f = Hashtbl.find values f in
+    let g f = values.(Field.index f) in
     Some
       { Packet.src_ip = g Field.Src_ip; dst_ip = g Field.Dst_ip;
         protocol = g Field.Protocol; src_port = g Field.Src_port;

@@ -28,6 +28,17 @@ let routing_state (dp : Dataplane.t) =
       (n, Rib.best_routes r.Dataplane.nr_main, Fib.entries r.Dataplane.nr_fib))
     dp.Dataplane.node_order
 
+(* Every wire the data plane holds for the next update equals a full
+   re-export of the sender's final best routes. *)
+let wires_exact name bf =
+  match
+    Dataplane.wire_mismatches
+      (Batfish.Snapshot.configs (Batfish.snapshot bf))
+      (Batfish.dataplane bf)
+  with
+  | [] -> ()
+  | m :: _ as all -> Alcotest.failf "%s: %d wires differ, e.g. %s" name (List.length all) m
+
 let counters_consistent name (dp : Dataplane.t) (rep : Batfish.update_report) =
   if rep.Batfish.up_nodes_changed = [] then begin
     (* cosmetic path: the base data plane (whose own stats say "everything
@@ -126,6 +137,7 @@ let seeded_edits_over nets ~seeds () =
     if routing_state dp' <> routing_state (Batfish.dataplane scratch) then
       Alcotest.failf "seed %d (%s): incremental and scratch routing state differ" seed
         p.Netgen.p_name;
+    wires_exact (Printf.sprintf "seed %d (%s)" seed p.Netgen.p_name) bf';
     counters_consistent (Printf.sprintf "seed %d" seed) dp' rep;
     incr identical
   done;
@@ -484,12 +496,14 @@ let net11_change_sets () =
       let files = apply_files base_files edited in
       let bf', rep = Batfish.update ~files:edited bf in
       same_as_scratch name ~env bf' files;
+      wires_exact name bf';
       counters_consistent name (Batfish.dataplane bf') rep;
       (* a warm result is the next update's base: chain a second set *)
       let slots2 = List.nth sets ((k + 1) mod List.length sets) |> snd in
       let edited2 = change_set ~rng files slots2 in
       let bf'', rep2 = Batfish.update ~files:edited2 bf' in
       same_as_scratch (name ^ ", then another set") ~env bf'' (apply_files files edited2);
+      wires_exact (name ^ ", then another set") bf'';
       counters_consistent (name ^ ", then another set") (Batfish.dataplane bf'') rep2)
     sets
 
@@ -515,6 +529,115 @@ let quiet_visits_engage () =
     (dp'.Dataplane.rounds < 2 * rep.Batfish.up_frontier_size);
   check Alcotest.bool "some visits converged early" true
     (rep.Batfish.up_nodes_converged_early > 0)
+
+(* The superspine's new router id reaches every route it sends, so every
+   pod spine's best sets move — but only in the learned-from router id,
+   which export overwrites. Re-exporting only the nets whose best sets moved
+   as export sees them leaves the spines' wires alone: the update exports
+   the changed superspine's wires once, well under a tenth of one full
+   re-export of every wire. *)
+let per_net_reexport_engages () =
+  let net = (profile "NET11").p_make 0.5 in
+  let bf = load net in
+  let dp = Batfish.dataplane bf in
+  let edited =
+    change_set ~rng:(Rng.create 1) net.Netgen.n_configs [ ("add-loopback", "ss") ]
+  in
+  let bf', rep = Batfish.update ~files:edited bf in
+  let dp' = Batfish.dataplane bf' in
+  check Alcotest.int "the whole fabric is visited"
+    (List.length dp'.Dataplane.node_order) rep.Batfish.up_frontier_size;
+  let full_reexport =
+    List.fold_left
+      (fun acc sr ->
+        match sr.Dataplane.sr_remote_node with
+        | Some sender when sr.Dataplane.sr_established ->
+          acc + Rib.best_count (Dataplane.node dp sender).Dataplane.nr_bgp
+        | Some _ | None -> acc)
+      0 dp.Dataplane.sessions
+  in
+  let exported = dp'.Dataplane.stats.Dataplane.st_exported_routes in
+  if not (exported > 0 && 10 * exported < full_reexport) then
+    Alcotest.failf "exported %d routes; one full re-export is %d" exported full_reexport;
+  check Alcotest.bool "routes imported" true
+    (dp'.Dataplane.stats.Dataplane.st_imported_routes > 0);
+  wires_exact "superspine loopback" bf'
+
+(* When a border router's id changes, the route reflectors' best sets move
+   only in the learned-from router id of the external routes it sends them,
+   yet the routes they reflect carry that id as their originator: export
+   reads the router id of iBGP-learned routes, so those nets must still be
+   re-exported. *)
+let reflected_router_id_change () =
+  let net = (profile "NET8").p_make 0.25 in
+  let env = net.Netgen.n_env and files = net.Netgen.n_configs in
+  let bf = load net in
+  ignore (Batfish.dataplane bf);
+  let name, text =
+    List.find (fun (name, _) -> Re.execp (Re.compile (Re.str "border1.")) name) files
+  in
+  let text' =
+    Re.replace_string
+      (Re.compile (Re.seq [ Re.str "bgp router-id "; Re.rep1 (Re.compl [ Re.char '\n' ]) ]))
+      ~by:"bgp router-id 10.255.9.27" text
+  in
+  check Alcotest.bool "router id edited" true (text' <> text);
+  let bf', rep = Batfish.update ~files:[ (name, text') ] bf in
+  check Alcotest.bool "warm path taken" true (rep.Batfish.up_nodes_converged_early > 0);
+  same_as_scratch "border router id" ~env bf' (apply_files files [ (name, text') ]);
+  wires_exact "border router id" bf'
+
+(* An ACL line changes nothing export reads: the edited leaf's export view
+   equals its base's, its best sets do not move, and so no route is
+   re-exported at all. *)
+let unchanged_export_view_exports_nothing () =
+  let net = (profile "NET11").p_make 0.5 in
+  let bf = load net in
+  ignore (Batfish.dataplane bf);
+  let edited =
+    change_set ~rng:(Rng.create 3) net.Netgen.n_configs [ ("add-acl-line", "leaf") ]
+  in
+  let bf', rep = Batfish.update ~files:edited bf in
+  check Alcotest.int "one node changed" 1 (List.length rep.Batfish.up_nodes_changed);
+  check Alcotest.int "routes exported" 0
+    (Batfish.dataplane bf').Dataplane.stats.Dataplane.st_exported_routes;
+  same_as_scratch "leaf ACL line" ~env:net.Netgen.n_env bf'
+    (apply_files net.Netgen.n_configs edited);
+  wires_exact "leaf ACL line" bf'
+
+(* A route-map edit is part of the export view even when the BGP process
+   and the node's best sets are unchanged: a NET8 border router sends the
+   core its routes through an outbound route map, and the edit flips the
+   map's final deny to permit. The border router's wires must be
+   re-exported under the new map. *)
+let route_map_edit_reexports () =
+  let net = (profile "NET8").p_make 0.25 in
+  let env = net.Netgen.n_env in
+  let name, text =
+    List.find (fun (name, _) -> Re.execp (Re.compile (Re.str "border1.")) name) net.n_configs
+  in
+  (* every iBGP session of the border router goes out through TO_ISP *)
+  let with_out_map =
+    Re.replace
+      (Re.compile
+         (Re.seq [ Re.bol; Re.group (Re.seq [ Re.str " neighbor "; Re.rep1 (Re.compl [ Re.space ]) ]);
+                   Re.str " update-source Loopback0" ]))
+      ~f:(fun g -> Re.Group.get g 0 ^ "\n" ^ Re.Group.get g 1 ^ " route-map TO_ISP out")
+      text
+  in
+  check Alcotest.bool "outbound map added" true (with_out_map <> text);
+  let files = apply_files net.n_configs [ (name, with_out_map) ] in
+  let bf = Batfish.init ~env (Batfish.Snapshot.of_texts files) in
+  ignore (Batfish.dataplane bf);
+  let text' =
+    Re.replace_string (Re.compile (Re.str "route-map TO_ISP deny 20"))
+      ~by:"route-map TO_ISP permit 20" with_out_map
+  in
+  check Alcotest.bool "route map edited" true (text' <> with_out_map);
+  let bf', rep = Batfish.update ~files:[ (name, text') ] bf in
+  check Alcotest.bool "warm path taken" true (rep.Batfish.up_nodes_converged_early > 0);
+  same_as_scratch "border route map" ~env bf' (apply_files files [ (name, text') ]);
+  wires_exact "border route map" bf'
 
 (* --- forwarding graphs of one lineage share extra-bit varsets ----------- *)
 
@@ -559,6 +682,11 @@ let suites =
           seeded_edits_ibgp_clos;
         Alcotest.test_case "NET11 change sets, chained" `Quick net11_change_sets;
         Alcotest.test_case "quiet visits engage" `Quick quiet_visits_engage;
+        Alcotest.test_case "per-net re-export engages" `Quick per_net_reexport_engages;
+        Alcotest.test_case "reflected router-id change" `Quick reflected_router_id_change;
+        Alcotest.test_case "unchanged export view exports nothing" `Quick
+          unchanged_export_view_exports_nothing;
+        Alcotest.test_case "route-map edit re-exports" `Quick route_map_edit_reexports;
         Alcotest.test_case "update graphs share varsets" `Quick
           varsets_shared_across_updates;
         Alcotest.test_case "multi-component reuse" `Quick component_reuse;

@@ -79,6 +79,78 @@ let to_packet_respects_prefs () =
     check Alcotest.bool "dst hint honored" true
       (Prefix.contains (Prefix.of_string "10.1.0.0/16") p.Packet.dst_ip)
 
+(* The former [to_packet] assembly, a [Hashtbl] over [Field.all] filled
+   from the satisfying assignment: the reference the array-indexed one must
+   match packet for packet. *)
+let to_packet_reference env ?(prefs = []) set =
+  let man = Pktset.man env in
+  let level_field = Hashtbl.create 256 in
+  List.iter
+    (fun f ->
+      Array.iteri (fun i lvl -> Hashtbl.replace level_field lvl (f, i)) (Pktset.levels env f))
+    Field.all;
+  match Bdd.any_sat man (Bdd.pick_preferred man set prefs) with
+  | None -> None
+  | Some assignment ->
+    let values = Hashtbl.create 16 in
+    List.iter (fun f -> Hashtbl.replace values f 0) Field.all;
+    List.iter
+      (fun (lvl, b) ->
+        match Hashtbl.find_opt level_field lvl with
+        | Some (f, i) when b ->
+          Hashtbl.replace values f (Hashtbl.find values f lor (1 lsl (Field.bits f - 1 - i)))
+        | Some _ | None -> ())
+      assignment;
+    let g f = Hashtbl.find values f in
+    Some
+      { Packet.src_ip = g Field.Src_ip; dst_ip = g Field.Dst_ip; protocol = g Field.Protocol;
+        src_port = g Field.Src_port; dst_port = g Field.Dst_port;
+        icmp_type = g Field.Icmp_type; icmp_code = g Field.Icmp_code;
+        tcp_flags = g Field.Tcp_flags; dscp = g Field.Dscp; ecn = g Field.Ecn;
+        fragment_offset = g Field.Fragment_offset; packet_length = g Field.Packet_length }
+
+let lsb_env = lazy (Pktset.create ~order:Pktset.Lsb_first ())
+
+let to_packet_matches_reference =
+  let prefix_gen =
+    QCheck.Gen.(
+      map2 (fun ip len -> Prefix.make (ip land 0xFFFF_FFFF) len) (int_range 0 0xFFFF_FFFF)
+        (int_bound 32))
+  in
+  (* every header field random, so each field's bits reach the assembly *)
+  let full_packet_gen =
+    QCheck.Gen.(
+      map2
+        (fun p (dscp, ecn, fragment_offset, packet_length) ->
+          { p with Packet.dscp; ecn; fragment_offset; packet_length })
+        packet_gen
+        (quad (int_bound 63) (int_bound 3) (int_bound 8191) (int_bound 65535)))
+  in
+  qtest ~count:200 "to_packet = Hashtbl reference"
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (triple full_packet_gen prefix_gen bool)
+           (quad (int_bound 65535) (int_bound 65535) (int_bound 255) bool)))
+    (fun ((p, pre, single), (a, b, proto, lsb)) ->
+      let env = if lsb then Lazy.force lsb_env else env in
+      let man = Pktset.man env in
+      (* a random set: one packet, or that packet or a prefix x port range
+         or a protocol outside a source prefix *)
+      let set =
+        if single then Pktset.of_packet env p
+        else
+          Bdd.bor man (Pktset.of_packet env p)
+            (Bdd.bor man
+               (Bdd.band man (Pktset.dst_prefix env pre)
+                  (Pktset.range env Field.Dst_port (min a b) (max a b)))
+               (Bdd.bdiff man (Pktset.value env Field.Protocol proto)
+                  (Pktset.src_prefix env pre)))
+      in
+      let prefs = Pktset.standard_prefs env ~dst_prefix:pre () in
+      Pktset.to_packet env set = to_packet_reference env set
+      && Pktset.to_packet env ~prefs set = to_packet_reference env ~prefs set)
+
 let sat_count_prefix () =
   let man = Pktset.man env in
   let total = 2.0 ** float_of_int (Bdd.nvars man) in
@@ -171,7 +243,7 @@ let suites =
         of_packet_mem; of_packet_distinct; prefix_matches_contains;
         range_matches_interval; value_matches_equality; tcp_flag_matches ] );
     ( "symbolic.examples",
-      [ to_packet_in_set;
+      [ to_packet_in_set; to_packet_matches_reference;
         Alcotest.test_case "prefs" `Quick to_packet_respects_prefs;
         Alcotest.test_case "sat_count" `Quick sat_count_prefix ] );
     ( "symbolic.nat",
