@@ -21,12 +21,13 @@ lint: build
 bench-smoke: build
 	dune exec bench/main.exe -- smoke --scale 1
 
-# Quotient-compression scale sweep (schema 8 "sweep" section of
-# BENCH_results.json): compressed vs uncompressed wall time, peak RSS, BDD
-# node counts and compression ratio across several NET12 scale factors.
-# Exits 1 if compressed answers ever differ from uncompressed, or if
-# compression fails to win at the largest factor. --scale 2 adds the
-# ~1k-device point.
+# Interchangeable-source grouping scale sweep (schema 8 "sweep" section of
+# BENCH_results.json): all-pairs wall time one pass per start vs one pass
+# per group, start and group counts, peak RSS and BDD node counts across
+# several NET12 scale factors. Exits 1 if grouped rows ever differ from the
+# per-start rows, if grouping fails to win at the largest factor, or if it
+# wins by less than 2x at >= 500 devices. --scale 2 adds the ~1k-device
+# point.
 bench-sweep: build
 	dune exec bench/main.exe -- sweep --scale 1
 

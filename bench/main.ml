@@ -116,15 +116,14 @@ let check_gates () =
             name s
           :: !bad
       | Some _ | None -> ());
-      (* the sweep's largest scale factor must show compression winning;
+      (* the sweep's largest scale factor must show grouping winning;
          smaller factors may legitimately hover around 1.0. At >= 500
-         devices the all-pairs sweep itself must win by >= 2x (the ISSUE 10
-         acceptance bar). *)
-      (match (fv "sweep_speedup", List.assoc_opt "sweep_largest" metrics) with
+         devices grouped all-pairs must win by >= 2x. *)
+      (match (fv "all_pairs_speedup", List.assoc_opt "sweep_largest" metrics) with
       | Some s, Some "true" when s < 1.0 ->
         bad :=
           Printf.sprintf
-            "%s: compression speedup %.2f < 1.0 at the largest sweep scale"
+            "%s: grouping speedup %.2f < 1.0 at the largest sweep scale"
             name s
           :: !bad
       | _ -> ());
@@ -1241,21 +1240,20 @@ let micro () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Scale sweep: quotient compression vs uncompressed on the fat-leaf  *)
-(* NET12 fabric (ISSUE 10), up to ~1k devices at the largest factor   *)
+(* Scale sweep: interchangeable-source grouping vs the per-start      *)
+(* all-pairs sweep on the fat-leaf NET12 fabric, up to ~1k devices    *)
 (* ------------------------------------------------------------------ *)
 
 (* One data plane per scale factor; the same graph spec is materialized
-   into two private managers — compression forced off and on — and both
-   sides answer the same all-pairs, multipath and loop queries from a cold
-   manager, so neither side warms the other's operation cache. All-pairs
-   rows are plain data; multipath/loop verdict sets are exported from the
-   on-side manager and re-imported into the off-side one, where canonicity
-   makes bit-identity a physical-equality check. Serial on purpose: the
-   ratio isolates the quotient, not the parallel fan-out. *)
+   into two private managers and both sides answer all-pairs over the same
+   start sample from a cold manager, so neither side warms the other's
+   operation cache: the ungrouped side runs one forward pass per start,
+   the grouped side one pass per {!Fquery.start_groups} group. Rows are
+   plain data, so bit-identity is [=]. Serial on purpose: the ratio
+   isolates grouping, not the parallel fan-out. *)
 let sweep ~factors () =
   print_endline
-    "== scale sweep: quotient compression vs uncompressed (NET12, serial) ==";
+    "== scale sweep: grouped vs per-start all-pairs (NET12, serial) ==";
   let p =
     List.find
       (fun (p : Netgen.profile) -> p.Netgen.p_name = "NET12")
@@ -1270,18 +1268,13 @@ let sweep ~factors () =
         let dp = Batfish.dataplane bf in
         let configs = Batfish.Snapshot.find snap in
         let spec = Fgraph.to_spec (Fquery.graph (Batfish.forwarding bf)) in
-        let q_off =
-          Fquery.of_graph ~compress_mode:`Off (Fgraph.of_spec spec) ~dp ~configs
-        in
-        let q_on =
-          Fquery.of_graph ~compress_mode:`On (Fgraph.of_spec spec) ~dp ~configs
-        in
-        (* a start sample bounds the sweep's wall clock; it must be large
-           enough to amortize the compressed side's one-off costs (first
-           cold pass, first-pass verification) the way a full sweep would *)
+        let q_ungrouped = Fquery.of_graph (Fgraph.of_spec spec) ~dp ~configs in
+        let q_grouped = Fquery.of_graph (Fgraph.of_spec spec) ~dp ~configs in
+        (* a start sample bounds the ungrouped side's wall clock *)
         let starts =
-          List.filteri (fun i _ -> i < 96) (Fquery.default_starts q_off)
+          List.filteri (fun i _ -> i < 96) (Fquery.default_starts q_ungrouped)
         in
+        let groups = List.length (Fquery.start_groups q_grouped starts) in
         (* compact before every timed block: the two sides run sequentially
            in one process, so without this the later side pays the major-GC
            cost of the earlier side's garbage and the ratio is biased *)
@@ -1289,76 +1282,47 @@ let sweep ~factors () =
           Gc.compact ();
           time f
         in
-        (* whole-sample calls, not per-start: grouped all-pairs shares one
-           pass across a device's interchangeable access ports, which
-           per-start invocations would artificially forbid *)
-        let rows_off, ap_off =
-          timed (fun () -> Fquery.all_pairs q_off ~starts ())
+        let rows_ungrouped, ap_ungrouped =
+          timed (fun () ->
+              List.concat_map (Fquery.pairs_for_start q_ungrouped) starts)
         in
-        let rows_on, ap_on =
-          timed (fun () -> Fquery.all_pairs q_on ~starts ())
+        let rows_grouped, ap_grouped =
+          timed (fun () -> Fquery.all_pairs q_grouped ~starts ())
         in
-        let mpc_off, mp_off =
-          timed (fun () -> Fquery.multipath_consistency q_off ~starts ())
+        let identical = rows_ungrouped = rows_grouped in
+        let speedup =
+          if ap_grouped > 0.0 then ap_ungrouped /. ap_grouped else 1.0
         in
-        let mpc_on, mp_on =
-          timed (fun () -> Fquery.multipath_consistency q_on ~starts ())
+        let nodes_of q =
+          let n, _, _ = Bdd.stats (Pktset.man (Fquery.env q)) in
+          n
         in
-        let loops_off = Fquery.find_loops q_off in
-        let loops_on = Fquery.find_loops q_on in
-        let man_off = Pktset.man (Fquery.env q_off) in
-        let man_on = Pktset.man (Fquery.env q_on) in
-        let import_on bs = Bdd.import man_off (Bdd.export man_on bs) in
-        let identical =
-          rows_off = rows_on
-          && List.map fst mpc_off = List.map fst mpc_on
-          && List.for_all2 Bdd.equal
-               (List.map snd mpc_off)
-               (import_on (List.map snd mpc_on))
-          && List.map fst loops_off = List.map fst loops_on
-          && List.for_all2 Bdd.equal
-               (List.map snd loops_off)
-               (import_on (List.map snd loops_on))
-        in
-        let ratio, classes =
-          match Fquery.compression_info q_on with
-          | Some (r, c, _) -> (r, c)
-          | None -> (1.0, Fgraph.n_locs (Fquery.graph q_on))
-        in
-        let passes, fallbacks = Fquery.compress_stats q_on in
-        let wall_off = ap_off +. mp_off and wall_on = ap_on +. mp_on in
-        let speedup = if wall_on > 0.0 then wall_off /. wall_on else 1.0 in
-        let ap_speedup = if ap_on > 0.0 then ap_off /. ap_on else 1.0 in
-        let nodes_off, _, _ = Bdd.stats man_off in
-        let nodes_on, _, _ = Bdd.stats man_on in
         record
           (Printf.sprintf "sweep.NET12.x%g" f)
           [ m_i "devices" (Netgen.device_count net);
-            m_i "locs" (Fgraph.n_locs (Fquery.graph q_off));
-            m_i "edges" (Fgraph.n_edges (Fquery.graph q_off));
-            m_i "starts" (List.length starts);
-            m_f "all_pairs_off_s" ap_off; m_f "all_pairs_on_s" ap_on;
-            m_f "multipath_off_s" mp_off; m_f "multipath_on_s" mp_on;
-            m_f "wall_off_s" wall_off; m_f "wall_on_s" wall_on;
-            m_f "sweep_speedup" speedup; m_f "all_pairs_speedup" ap_speedup;
+            m_i "locs" (Fgraph.n_locs (Fquery.graph q_grouped));
+            m_i "edges" (Fgraph.n_edges (Fquery.graph q_grouped));
+            m_i "starts" (List.length starts); m_i "groups" groups;
+            m_f "all_pairs_ungrouped_s" ap_ungrouped;
+            m_f "all_pairs_grouped_s" ap_grouped;
+            m_f "all_pairs_speedup" speedup;
             m_b "sweep_largest" (f = largest);
-            m_b "identical" identical; m_f "compress_ratio" ratio;
-            m_i "classes" classes; m_i "compressed_passes" passes;
-            m_i "compress_fallbacks" fallbacks;
-            m_i "bdd_nodes_off" nodes_off; m_i "bdd_nodes_on" nodes_on ];
+            m_b "identical" identical;
+            m_i "bdd_nodes_ungrouped" (nodes_of q_ungrouped);
+            m_i "bdd_nodes_grouped" (nodes_of q_grouped) ];
         [ Printf.sprintf "x%g" f;
           string_of_int (Netgen.device_count net);
-          string_of_int (Fgraph.n_locs (Fquery.graph q_off));
-          fmt_s wall_off; fmt_s wall_on; Printf.sprintf "%.2fx" speedup;
-          Printf.sprintf "%.2fx" ap_speedup;
-          Printf.sprintf "%.2f" ratio; string_of_int classes;
+          string_of_int (Fgraph.n_locs (Fquery.graph q_grouped));
+          Printf.sprintf "%d/%d" groups (List.length starts);
+          fmt_s ap_ungrouped; fmt_s ap_grouped;
+          Printf.sprintf "%.2fx" speedup;
           (if identical then "yes" else "NO") ])
       factors
   in
   Table.print
     ~header:
-      [ "scale"; "devices"; "locs"; "uncompressed"; "compressed"; "speedup";
-        "all-pairs"; "ratio"; "classes"; "identical" ]
+      [ "scale"; "devices"; "locs"; "groups/starts"; "per-start"; "grouped";
+        "speedup"; "identical" ]
     rows;
   print_newline ()
 

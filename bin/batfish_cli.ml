@@ -49,36 +49,11 @@ let resolve_domains = function
   | `Auto -> (Par.default_domains (), true)
   | `Fixed n -> ((if n <= 0 then Par.default_domains () else n), false)
 
-(* --compress selects the forwarding-graph quotient mode. Answers are
-   bit-identical at any setting; this only trades partition-refinement
-   time against propagation time. *)
-let compress_conv =
-  let parse = function
-    | "on" -> Ok `On
-    | "off" -> Ok `Off
-    | "auto" -> Ok `Auto
-    | s -> Error (`Msg (Printf.sprintf "invalid MODE '%s' (on, off or auto)" s))
-  in
-  let print ppf (m : Fquery.compress_mode) =
-    Format.pp_print_string ppf
-      (match m with `On -> "on" | `Off -> "off" | `Auto -> "auto")
-  in
-  Arg.conv (parse, print)
-
-let compress_arg =
-  Arg.(value & opt compress_conv `Auto
-       & info [ "compress" ] ~docv:"MODE"
-           ~doc:"Quotient compression of the forwarding graph: 'on' always \
-                 propagates over the behavioral-equivalence quotient, 'off' \
-                 never does, 'auto' (default) enables it when the graph is \
-                 large and compresses well. Results are bit-identical at any \
-                 setting.")
-
-let load ?(domains = `Fixed 1) ?(compress = `Auto) dir =
+let load ?(domains = `Fixed 1) dir =
   let domains, auto_domains = resolve_domains domains in
   Batfish.init
     ~options:{ Dataplane.default_options with domains }
-    ~auto_domains ~compress
+    ~auto_domains
     (Batfish.Snapshot.of_dir dir)
 
 (* --- incremental mode (--base): CONFIG_DIR is a revision of BASE_DIR --- *)
@@ -107,12 +82,12 @@ let load_snapshot_incremental ?(domains = `Fixed 1) ~base dir =
 
 (* Full engine reuse: analyze BASE_DIR (data plane + forwarding graph), apply
    the revision via Batfish.update, and print the engine counters. *)
-let load_update_incremental ?(domains = `Fixed 1) ?(compress = `Auto) ~base dir =
+let load_update_incremental ?(domains = `Fixed 1) ~base dir =
   let domains, auto_domains = resolve_domains domains in
   let bf0 =
     Batfish.init
       ~options:{ Dataplane.default_options with domains }
-      ~auto_domains ~compress
+      ~auto_domains
       (Batfish.Snapshot.of_dir base)
   in
   ignore (Batfish.dataplane bf0);
@@ -393,8 +368,8 @@ let trace_cmd =
 let reach_cmd =
   let src = Arg.(required & opt (some string) None & info [ "src" ] ~doc:"Start as NODE or NODE/IFACE") in
   let dst = Arg.(required & opt (some string) None & info [ "dst-prefix" ] ~doc:"Destination prefix") in
-  let run dir src dst compress =
-    let bf = load ~compress dir in
+  let run dir src dst =
+    let bf = load dir in
     let src =
       match String.index_opt src '/' with
       | Some i ->
@@ -410,7 +385,7 @@ let reach_cmd =
     print_answers [ Batfish.answer_reachability bf ~src ~dst_ip () ]
   in
   Cmd.v (Cmd.info "reach" ~doc:"Symbolic reachability with examples")
-    Term.(const run $ dir_arg $ src $ dst $ compress_arg)
+    Term.(const run $ dir_arg $ src $ dst)
 
 (* --- verify (multipath + loops) --- *)
 
@@ -430,13 +405,13 @@ let verify_cmd =
                    equivalence and the rest re-simulated warm from the base \
                    fixed point")
   in
-  let run dir base domains all_pairs failures compress =
+  let run dir base domains all_pairs failures =
     if failures < 0 || failures > 2 then
       die "--failures supports k = 1 (single failures) or k = 2 (double failures)";
     let bf =
       match base with
-      | Some b -> load_update_incremental ~domains ~compress ~base:b dir
-      | None -> load ~domains ~compress dir
+      | Some b -> load_update_incremental ~domains ~base:b dir
+      | None -> load ~domains dir
     in
     print_answers
       ([ Batfish.answer_multipath_consistency bf; Batfish.answer_loops bf ]
@@ -466,17 +441,7 @@ let verify_cmd =
          (if cs.Bdd.cs_entries = 0 then 0.0
           else
             100.0 *. float_of_int cs.Bdd.cs_filled
-            /. float_of_int cs.Bdd.cs_entries);
-       match Fquery.compression_info fq with
-       | None -> ()
-       | Some (ratio, classes, _) ->
-         let passes, fallbacks = Fquery.compress_stats fq in
-         Printf.eprintf
-           "quotient compression: %d classes over %d locations (ratio %.2f), \
-            %d compressed pass(es), %d fallback(s)\n"
-           classes
-           (Fgraph.n_locs (Fquery.graph fq))
-           ratio passes fallbacks);
+            /. float_of_int cs.Bdd.cs_entries));
     (match Batfish.pool_stats bf with
      | None -> ()
      | Some (workers, jobs) ->
@@ -488,8 +453,7 @@ let verify_cmd =
   in
   Cmd.v (Cmd.info "verify" ~doc:"Multipath consistency and loop detection")
     Term.(
-      const run $ dir_arg $ base_arg $ domains_arg $ all_pairs $ failures
-      $ compress_arg)
+      const run $ dir_arg $ base_arg $ domains_arg $ all_pairs $ failures)
 
 (* --- serve: analysis as a service --- *)
 
@@ -527,9 +491,9 @@ let serve_cmd =
                    (eviction counts appear under 'stats'). Unbounded by \
                    default.")
   in
-  let run socket tcp preload domains max_snapshots compress =
+  let run socket tcp preload domains max_snapshots =
     let domains, auto = resolve_domains domains in
-    let svc = Service.create ~domains ~auto ?max_snapshots ~compress () in
+    let svc = Service.create ~domains ~auto ?max_snapshots () in
     List.iter
       (fun dir ->
         let files, _ = Batfish.Snapshot.read_dir dir in
@@ -556,8 +520,7 @@ let serve_cmd =
              over a Unix-domain (and optional TCP) socket, sharing parsed \
              snapshots, data planes and warm worker caches across clients")
     Term.(
-      const run $ socket $ tcp $ preload $ serve_domains $ max_snapshots
-      $ compress_arg)
+      const run $ socket $ tcp $ preload $ serve_domains $ max_snapshots)
 
 (* --- netgen --- *)
 

@@ -178,7 +178,6 @@ type t = {
   env : Dp_env.t;
   options : Dataplane.options;
   auto_domains : bool;
-  compress : Fquery.compress_mode;
   mutable pool : Par.Pool.t option;
   mutable dp : Dataplane.t option;
   mutable fq : Fquery.t option;
@@ -186,8 +185,8 @@ type t = {
 }
 
 let init ?(options = Dataplane.default_options) ?(env = Dp_env.empty)
-    ?(auto_domains = false) ?(compress = `Auto) snap =
-  { snap; env; options; auto_domains; compress;
+    ?(auto_domains = false) snap =
+  { snap; env; options; auto_domains;
     pool = options.Dataplane.pool; dp = None; fq = None; extra_diags = [] }
 
 let snapshot t = t.snap
@@ -237,8 +236,7 @@ let try_forwarding t =
   | Some fq -> Ok fq
   | None -> (
     match
-      Fquery.make_checked ~compress_mode:t.compress
-        ~configs:(Snapshot.find t.snap) ~dp:(dataplane t) ()
+      Fquery.make_checked ~configs:(Snapshot.find t.snap) ~dp:(dataplane t) ()
     with
     | Ok fq ->
       t.fq <- Some fq;
@@ -457,7 +455,7 @@ let update ?(removed = []) ?(diags = []) ~files t =
       | None -> 0
     in
     ( { snap = snap'; env = t.env; options = t.options;
-        auto_domains = t.auto_domains; compress = t.compress; pool = t.pool;
+        auto_domains = t.auto_domains; pool = t.pool;
         dp = t.dp; fq = t.fq; extra_diags = t.extra_diags },
       { up_files_changed = files_changed;
         up_files_reparsed = Snapshot.reparsed snap';
@@ -494,7 +492,7 @@ let update ?(removed = []) ?(diags = []) ~files t =
         (Some q', not (Fquery.graph q' == Fquery.graph q), inval)
     in
     ( { snap = snap'; env = t.env; options = t.options;
-        auto_domains = t.auto_domains; compress = t.compress; pool = t.pool;
+        auto_domains = t.auto_domains; pool = t.pool;
         dp = Some dp'; fq = fq'; extra_diags = [] },
       { up_files_changed = files_changed;
         up_files_reparsed = Snapshot.reparsed snap';

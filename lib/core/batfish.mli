@@ -70,14 +70,11 @@ type t
     rounds, query fan-out, lint), keeping worker-resident BDD state warm.
     [auto_domains] (default false) enables the adaptive cutoff: symbolic
     queries whose estimated cost is too small to amortize the fan-out run
-    serially. [compress] (default [`Auto]) is the quotient-compression mode
-    the session's forwarding engine is built with
-    ({!Fquery.compress_mode}); answers are bit-identical in every mode. *)
+    serially. *)
 val init :
   ?options:Dataplane.options ->
   ?env:Dp_env.t ->
   ?auto_domains:bool ->
-  ?compress:Fquery.compress_mode ->
   Snapshot.t ->
   t
 

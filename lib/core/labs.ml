@@ -247,6 +247,46 @@ let lab_numbered_acl =
         Flow_dropped
           ("gw", Some "lan", Packet.tcp ~src:(ip "10.6.1.1") ~dst:(ip "8.8.8.8") 80) ] }
 
+(* Lab 6: iBGP full mesh without a route reflector. A router's own routes
+   (here a redistributed connected subnet) go to every iBGP peer; only
+   routes it learned over iBGP stay unadvertised to the others. *)
+let lab_ibgp_full_mesh =
+  { lab_name = "ibgp-full-mesh";
+    lab_doc = "a non-reflector advertises its own redistributed routes to all iBGP peers";
+    lab_configs =
+      [ ( "r1.cfg",
+          text
+            [ "hostname r1";
+              "interface e12"; " ip address 10.0.12.1 255.255.255.252";
+              "interface e13"; " ip address 10.0.13.1 255.255.255.252";
+              "interface lan"; " ip address 10.7.0.1 255.255.255.0";
+              "router bgp 100";
+              " neighbor 10.0.12.2 remote-as 100";
+              " neighbor 10.0.13.2 remote-as 100";
+              " redistribute connected" ] );
+        ( "r2.cfg",
+          text
+            [ "hostname r2";
+              "interface e12"; " ip address 10.0.12.2 255.255.255.252";
+              "interface e23"; " ip address 10.0.23.1 255.255.255.252";
+              "router bgp 100";
+              " neighbor 10.0.12.1 remote-as 100";
+              " neighbor 10.0.23.2 remote-as 100" ] );
+        ( "r3.cfg",
+          text
+            [ "hostname r3";
+              "interface e13"; " ip address 10.0.13.2 255.255.255.252";
+              "interface e23"; " ip address 10.0.23.2 255.255.255.252";
+              "router bgp 100";
+              " neighbor 10.0.13.1 remote-as 100";
+              " neighbor 10.0.23.1 remote-as 100" ] ) ];
+    lab_env = Dp_env.empty;
+    lab_expectations =
+      [ Session_established ("r2", "10.0.12.1");
+        Session_established ("r3", "10.0.13.1");
+        Route_present ("r2", "10.7.0.0/24", "ibgp");
+        Route_present ("r3", "10.7.0.0/24", "ibgp") ] }
+
 let builtin =
   [ lab_standard_border; lab_undefined_route_map; lab_one_sided_session;
-    lab_no_export; lab_numbered_acl ]
+    lab_no_export; lab_numbered_acl; lab_ibgp_full_mesh ]

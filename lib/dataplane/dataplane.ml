@@ -525,9 +525,12 @@ let export_route ~ctx sender (rev : Vi.bgp_neighbor) ~sender_ip ~receiver_ip ~is
     if List.mem Vi.no_advertise attrs.Attrs.communities then None
     else if (not is_ibgp) && List.mem Vi.no_export attrs.Attrs.communities then None
     else
-    (* Reflection rules for iBGP-learned routes toward iBGP peers. *)
+    (* Reflection rules for iBGP-learned routes toward iBGP peers. A route
+       the sender originates itself (network statement, redistribution:
+       [from_peer = 0]) goes to every iBGP peer unreflected (RFC 4271);
+       the RFC 4456 rules only govern routes learned over iBGP. *)
     let reflection =
-      if r.protocol = Route_proto.Ibgp && is_ibgp then begin
+      if r.protocol = Route_proto.Ibgp && is_ibgp && r.from_peer <> 0 then begin
         let cluster_id =
           match sender.cfg.Vi.bgp with
           | Some b -> (

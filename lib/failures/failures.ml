@@ -17,7 +17,7 @@
 
    Scenario checks fan out across the session {!Par.Pool} with stripe
    affinity: each worker re-checks against its resident imported base graph
-   ({!Fpar.worker_import}), building the scenario graph into the same warm
+   ({!Fpar.worker_query}), building the scenario graph into the same warm
    private manager. A scenario whose re-simulation exhausts fuel, oscillates,
    quarantines new nodes, or raises is reported [Inconclusive] with a
    {!Diag} record — the sweep itself never aborts. *)
@@ -180,17 +180,13 @@ let properties_of ?(max_properties = 32) ~topo fq =
 
 (* --- atom-equivalence pruning ------------------------------------------- *)
 
-let loc_node = function
-  | Fgraph.Src (n, _) | Fgraph.Fwd n | Fgraph.Pre_out (n, _, _)
-  | Fgraph.Dst (n, _) | Fgraph.Accept n | Fgraph.Dropped n -> n
-
 let endpoint_locs g (node, iface) =
   Fgraph.locs_where g (function
     | Fgraph.Src (n, i) | Fgraph.Dst (n, i) | Fgraph.Pre_out (n, i, _) ->
       n = node && i = iface
     | Fgraph.Fwd _ | Fgraph.Accept _ | Fgraph.Dropped _ -> false)
 
-let node_locs g node = Fgraph.locs_where g (fun l -> loc_node l = node)
+let node_locs g node = Fgraph.locs_where g (fun l -> Fgraph.loc_node l = node)
 
 (* An element's signature: the multiset of property-relevant packet sets
    carried by the base graph edges the failure disables (edges incident to
@@ -402,20 +398,14 @@ let check_scenario ~options ~env ~configs_list ~find ~base_dp ~properties qb sc 
     | None ->
       (* Patch the base forwarding graph in place of a full rebuild: only
          the dirty nodes' edges are reconstructed (into [qb]'s warm
-         manager, where unchanged predicates hash-cons to the base's), and
-         the scenario query's quotient partitions are refitted from the
-         base's class map so untouched classes skip re-refinement. Patched
-         propagation results are bit-identical to a from-scratch build
-         (warm-vs-cold equality is test-enforced). *)
+         manager, where unchanged predicates hash-cons to the base's).
+         Patched propagation results are bit-identical to a from-scratch
+         build (warm-vs-cold equality is test-enforced). *)
       let dirty = graph_dirty ~base_dp ~dp_s sc in
       let g_s =
         Fgraph.patch ~base:(Fquery.graph qb) ~dirty ~configs:find ~dp:dp_s ()
       in
-      let qs =
-        Fquery.of_graph ~compress_mode:(Fquery.compress_mode qb) g_s ~dp:dp_s
-          ~configs:find
-      in
-      Fquery.refit_partitions ~base:qb ~dirty qs;
+      let qs = Fquery.of_graph g_s ~dp:dp_s ~configs:find in
       Checked (verdicts ~failed:(failed_nodes sc) ~qb ~qs ~properties)
   with exn ->
     Inconclusive (Printf.sprintf "re-simulation raised: %s" (Printexc.to_string exn))
@@ -515,9 +505,7 @@ let run ?pool ?(domains = 1) ?(max_properties = 32) ?(prune = true)
       let spec, fp = Fquery.spec_with_fingerprint base_fq in
       Par.map_dynamic_init ?pool ~domains
         ~init:(fun () ->
-          Fpar.worker_import
-            ~cmode:(Fquery.compress_mode base_fq)
-            ~fp ~spec ~dp:base_dp ~configs:find ())
+          Fpar.worker_query ~fp ~spec ~dp:base_dp ~configs:find ())
         (fun qb sc ->
           ( sc.sc_id,
             check_scenario ~options:options_s ~env ~configs_list ~find ~base_dp

@@ -104,7 +104,7 @@ val classify :
 val scenario_env : topo:L3.t -> Dp_env.t -> scenario -> Dp_env.t
 
 (** Warm single-scenario check against a base query [qb] (the base graph in
-    the calling domain's manager — {!Fpar.worker_import} inside a pool
+    the calling domain's manager — {!Fpar.worker_query} inside a pool
     worker). [options] should be serial; never raises. *)
 val check_scenario :
   options:Dataplane.options ->

@@ -113,24 +113,17 @@ let measured_cutoff () =
 
 (* Runs inside a worker domain: fetch (or build) this domain's private query
    object for the snapshot identified by [fp]. MRU order; capacity bounds
-   total managers per worker. [cmode] aligns the resident query's quotient-
-   compression mode with the caller's: the cached entry itself stays keyed
-   on the spec fingerprint alone because compressed and uncompressed
-   answers are bit-identical — only the mode flag (and with it the lazily
-   built partitions) needs to follow the request. *)
-let worker_query ?(cmode = `Off) ~fp ~spec ~dp ~configs () =
+   total managers per worker. *)
+let worker_query ~fp ~spec ~dp ~configs () =
   let cache = Domain.DLS.get worker_cache in
   match List.find_opt (fun c -> c.c_fp = fp) !cache with
   | Some c ->
     Atomic.incr graph_reuses;
     cache := c :: List.filter (fun c' -> c'.c_fp <> fp) !cache;
-    Fquery.set_compress_mode c.c_q cmode;
     c.c_q
   | None ->
     let t0 = now_ns () in
-    let qw =
-      Fquery.of_graph ~compress_mode:cmode (Fgraph.of_spec spec) ~dp ~configs
-    in
+    let qw = Fquery.of_graph (Fgraph.of_spec spec) ~dp ~configs in
     (* Count (and time) the import only after it succeeds and before the
        cache insert below: a raising import must leave the counters
        consistent with what the MRU cache actually holds. *)
@@ -148,8 +141,6 @@ let worker_query ?(cmode = `Off) ~fp ~spec ~dp ~configs () =
     note_resident fp 1;
     qw
 
-let worker_import = worker_query
-
 (* Import this graph into every resident pool worker up front, so the first
    client query against the snapshot finds the workers warm instead of
    paying the per-worker spec import inside its own latency (the cold-path
@@ -166,17 +157,18 @@ let prewarm ?pool q =
        with a cold unique table and operation caches, so the first sharded
        query still paid near-serial cost per shard (the cold-path
        inversion). Forward passes share little structure across starts, so
-       run the full default-starts sweep in every worker: each manager ends
-       in exactly the state a completed query leaves behind, and the first
-       client-visible query runs at warm speed. The sweep costs one serial
-       pass of wall time, paid here — at session/daemon load — instead of
-       inside the first request's latency. *)
-    let cmode = Fquery.compress_mode q in
-    let seeds = Fquery.default_starts q in
+       run the default-starts all-pairs sweep in every worker — one pass per
+       group of interchangeable sources, the same representatives a real
+       query runs: each manager ends in exactly the state a completed query
+       leaves behind, and the first client-visible query runs at warm speed.
+       The sweep costs one serial all-pairs of wall time, paid here — at
+       session/daemon load — instead of inside the first request's
+       latency. *)
+    let starts = Fquery.default_starts q in
     let warmed =
       Par.Pool.broadcast p (fun _ ->
-          let qw = worker_query ~cmode ~fp ~spec ~dp ~configs () in
-          List.iter (fun s -> ignore (Fquery.pairs_for_start qw s)) seeds)
+          let qw = worker_query ~fp ~spec ~dp ~configs () in
+          ignore (Fquery.all_pairs qw ~starts ()))
     in
     Array.fold_left
       (fun n r -> match r with Some () -> n + 1 | None -> n)
@@ -318,12 +310,10 @@ let all_pairs ?pool ?(domains = 1) ?(auto = false) ?hdr ?starts q =
   in
   let g = Fquery.graph q in
   let cost = List.length starts * Fgraph.n_edges g in
-  (* Per-group fan-out (ISSUE 10): interchangeable sources (identical
-     concrete out-edge signatures, see {!Fquery.start_groups}) form one
-     task, and the worker runs a single pass for the whole group, relabeling
-     the representative's rows for the other members. Without compression
-     every group is a singleton and this is exactly the per-source fan-out
-     of PR 3. *)
+  (* Per-group fan-out: interchangeable sources (identical concrete
+     out-edge signatures, see {!Fquery.start_groups}) form one task, and the
+     worker runs a single pass for the whole group, relabeling the
+     representative's rows for the other members. *)
   let groups =
     let n_workers =
       match pool with
@@ -347,7 +337,6 @@ let all_pairs ?pool ?(domains = 1) ?(auto = false) ?hdr ?starts q =
     rows
   | Parallel domains ->
     let spec, fp = Fquery.spec_with_fingerprint q in
-    let cmode = Fquery.compress_mode q in
     let hdr_ex =
       Option.map (fun h -> Bdd.export (Pktset.man (Fgraph.env g)) [ h ]) hdr
     in
@@ -355,7 +344,7 @@ let all_pairs ?pool ?(domains = 1) ?(auto = false) ?hdr ?starts q =
     let group_rows =
       Par.map_dynamic_init ?pool ~domains
         ~init:(fun () ->
-          let qw = worker_query ~cmode ~fp ~spec ~dp ~configs () in
+          let qw = worker_query ~fp ~spec ~dp ~configs () in
           let hdr_w =
             Option.map
               (fun ex ->
@@ -440,14 +429,13 @@ let multipath_consistency ?pool ?(domains = 1) ?(auto = false) ?starts q =
         [ (`Deliver, delivered_sinks); (`Drop, dropped_sinks) ]
     in
     let spec, fp = Fquery.spec_with_fingerprint q in
-    let cmode = Fquery.compress_mode q in
     let dp = q.Fquery.dp and configs = q.Fquery.configs in
     let shards =
       Par.map_dynamic_init ?pool ~domains
-        ~init:(fun () -> worker_query ~cmode ~fp ~spec ~dp ~configs ())
+        ~init:(fun () -> worker_query ~fp ~spec ~dp ~configs ())
         (fun qw (kind, sinks) ->
           (* route through the worker query object: the pass lands in its
-             memo and goes through the quotient when compression is on *)
+             memo *)
           ignore sinks;
           let sets =
             match kind with

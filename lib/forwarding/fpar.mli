@@ -115,12 +115,8 @@ val worker_stats : unit -> int * int
     result (the MRU cache is domain-local). [spec]/[fp] should come from
     {!Fquery.spec_with_fingerprint} computed on the caller before fan-out.
     Exposed so other subsystems (the failure-scenario sweep) can share the
-    per-worker resident graph cache.
-    [cmode] (default [`Off]) aligns the resident query's quotient-
-    compression mode with the caller's; the cache entry stays keyed on the
-    spec fingerprint alone because answers are mode-independent. *)
-val worker_import :
-  ?cmode:Fquery.compress_mode ->
+    per-worker resident graph cache. *)
+val worker_query :
   fp:string ->
   spec:Fgraph.spec ->
   dp:Dataplane.t ->
@@ -141,9 +137,10 @@ val set_worker_cache_capacity : int -> unit
 val worker_cache_capacity : unit -> int
 
 (** [prewarm ?pool q] imports [q]'s graph into every resident pool worker
-    up front (one broadcast), so the first query against the snapshot finds
-    the workers warm instead of paying the per-worker spec import inside
-    its own latency. Returns the number of workers warmed; [0] without a
+    up front (one broadcast) and runs {!Fquery.all_pairs} over the default
+    starts there, so the first query against the snapshot finds the workers
+    warm instead of paying the per-worker spec import inside its own
+    latency. Returns the number of workers warmed; [0] without a
     live pool. Must not be called from inside a pool worker. *)
 val prewarm : ?pool:Par.Pool.t -> Fquery.t -> int
 

@@ -6,8 +6,6 @@ type memo_key =
   | Mk_delivered of string option * Bdd.t  (* at, hdr *)
   | Mk_dropped of Bdd.t  (* hdr *)
 
-type compress_mode = [ `Off | `On | `Auto ]
-
 type t = {
   g : Fgraph.t;
   dp : Dataplane.t;
@@ -16,25 +14,13 @@ type t = {
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable spec_cache : (Fgraph.spec * string) option;
-  mutable cmode : compress_mode;
-  mutable comp_fwd : Fcompress.partition option option;
-  mutable comp_bwd : Fcompress.partition option;
-  mutable comp_passes : int;
-  mutable comp_fallbacks : int;
-  (* the first pass through each partition direction runs the full
-     per-location fixpoint verification; once it holds, later passes skip
-     the O(edges) sweep (it costs as much as the uncompressed pass) *)
-  mutable comp_fwd_checked : bool;
-  mutable comp_bwd_checked : bool;
 }
 
 type start = string * string option
 
-let of_graph ?(compress_mode = `Off) g ~dp ~configs =
+let of_graph g ~dp ~configs =
   { g; dp; configs; memo = Hashtbl.create 16; memo_hits = 0; memo_misses = 0;
-    spec_cache = None; cmode = compress_mode; comp_fwd = None; comp_bwd = None;
-    comp_passes = 0; comp_fallbacks = 0; comp_fwd_checked = false;
-    comp_bwd_checked = false }
+    spec_cache = None }
 
 (* The spec (and its fingerprint) is a function of the graph alone, and the
    graph inside a [t] never mutates (incremental update builds a new [t]),
@@ -56,151 +42,17 @@ let spec_with_fingerprint t =
    [None] here is a sound "cold" answer for {!Fpar.plan}. *)
 let cached_fingerprint t = Option.map snd t.spec_cache
 
-let make ?env ?compress ?compress_mode ~configs ~dp () =
-  of_graph ?compress_mode (Fgraph.build ?env ?compress ~configs ~dp ()) ~dp
-    ~configs
+let make ?env ?compress ~configs ~dp () =
+  of_graph (Fgraph.build ?env ?compress ~configs ~dp ()) ~dp ~configs
 
 let graph t = t.g
 let memo_stats t = (t.memo_hits, t.memo_misses)
 
-(* --- quotient compression (ISSUE 10) ------------------------------------ *)
-
-(* The auto heuristic: compression only pays when the graph is big enough
-   to amortize the (integer-only) refinement and the partition actually
-   merges a decent fraction of locations. Thresholds are deliberately
-   conservative — compressed passes are bit-identical either way, this only
-   decides whether the quotient detour is worth taking. *)
-let auto_min_locs = 96
-let auto_max_ratio = 0.75
-
-let set_compress_mode t m =
-  if m <> t.cmode then begin
-    t.cmode <- m;
-    (* decisions depend on the mode; cached results stay valid because
-       compressed and uncompressed passes are bit-identical *)
-    t.comp_fwd <- None;
-    t.comp_bwd <- None;
-    t.comp_fwd_checked <- false;
-    t.comp_bwd_checked <- false
-  end
-
-let compress_mode t = t.cmode
-
-let forward_partition t =
-  match t.comp_fwd with
-  | Some r -> r
-  | None ->
-    let r =
-      match t.cmode with
-      | `Off -> None
-      | `On -> Some (Fcompress.base t.g `Fwd)
-      | `Auto ->
-        if Fgraph.n_locs t.g < auto_min_locs then None
-        else begin
-          let p = Fcompress.base t.g `Fwd in
-          if Fcompress.ratio p <= auto_max_ratio then Some p else None
-        end
-    in
-    t.comp_fwd <- Some r;
-    r
-
-(* Backward passes activate with the forward decision (one knob), but use
-   their own out-signature partition. *)
-let backward_partition t =
-  match forward_partition t with
-  | None -> None
-  | Some _ -> (
-    match t.comp_bwd with
-    | Some p -> Some p
-    | None ->
-      let p = Fcompress.base t.g `Bwd in
-      t.comp_bwd <- Some p;
-      Some p)
-
-let compression_info t =
-  Option.map
-    (fun p -> (Fcompress.ratio p, Fcompress.n_classes p, Fcompress.fingerprint p))
-    (forward_partition t)
-
-let compress_stats t = (t.comp_passes, t.comp_fallbacks)
-
-(* Seed a patched query's partitions by refitting the base's (the failure
-   sweep's per-scenario path): locations owned by clean nodes keep their
-   base class as the refinement starting key, so stability is re-verified
-   instead of rediscovered from singletons. Only meaningful when [t]'s graph
-   came from {!Fgraph.patch} against [base]'s graph — surviving locations
-   keep their ids, new ones append past the base's. Refinement only splits,
-   so any stale grouping the patch invalidated is separated again and the
-   result is a stable partition of the new graph. When the base declined
-   compression the same decision is recorded on [t] (one heuristic call per
-   snapshot, not per scenario). *)
-let refit_partitions ~base ~dirty t =
-  if t.cmode <> `Off then begin
-    (* refitted partitions are new objects: their first pass re-verifies *)
-    t.comp_fwd_checked <- false;
-    t.comp_bwd_checked <- false;
-    match forward_partition base with
-    | None -> t.comp_fwd <- Some None
-    | Some pf ->
-      let dirty_tbl = Hashtbl.create 16 in
-      List.iter (fun n -> Hashtbl.replace dirty_tbl n ()) dirty;
-      let base_n = Fcompress.n_locs pf in
-      let flags =
-        Array.init (Fgraph.n_locs t.g) (fun i ->
-            i >= base_n
-            || Hashtbl.mem dirty_tbl (Fgraph.loc_node t.g.Fgraph.locs.(i)))
-      in
-      t.comp_fwd <- Some (Some (Fcompress.refit t.g `Fwd ~like:pf ~dirty:flags));
-      match backward_partition base with
-      | None -> ()
-      | Some pb ->
-        t.comp_bwd <- Some (Fcompress.refit t.g `Bwd ~like:pb ~dirty:flags)
-  end
-
-(* Run one propagation pass, through the quotient when compression is
-   active, falling back to the concrete pass whenever the partition check
-   fails (see Fcompress): answers are bit-identical in all cases. The full
-   per-location verification sweep runs on the first pass through each
-   partition direction only — it costs as much as the uncompressed pass,
-   so paying it every time would forfeit the compression win. *)
-let compressed_pass t part_of direct ~checked ~mark_checked seeds =
-  match part_of t with
-  | None -> direct t.g seeds
-  | Some base -> (
-    let verify = not (checked t) in
-    (* the base partition pre-splits the standard seed shapes, so the
-       specialize-and-retry path only triggers for unusual seeds (e.g. a
-       start at an interior location); specialized partitions are
-       throwaway, so their passes always verify *)
-    let outcome, verified_base =
-      match Fcompress.run ~verify t.g base ~seeds with
-      | `Non_uniform ->
-        ( Fcompress.run ~verify:true t.g
-            (Fcompress.specialize t.g base ~seeds)
-            ~seeds,
-          false )
-      | o -> (o, verify)
-    in
-    match outcome with
-    | `Sets sets ->
-      t.comp_passes <- t.comp_passes + 1;
-      if verified_base then mark_checked t;
-      sets
-    | `Non_uniform | `Mismatch ->
-      t.comp_fallbacks <- t.comp_fallbacks + 1;
-      direct t.g seeds)
-
-let forward_pass t seeds =
-  compressed_pass t forward_partition Freach.forward
-    ~checked:(fun t -> t.comp_fwd_checked)
-    ~mark_checked:(fun t -> t.comp_fwd_checked <- true)
-    seeds
-
-let backward_pass t seeds =
-  compressed_pass t backward_partition Freach.backward
-    ~checked:(fun t -> t.comp_bwd_checked)
-    ~mark_checked:(fun t -> t.comp_bwd_checked <- true)
-    seeds
+(* Constant stubs: the perfbench driver reports these counters and changes
+   only together with the benchmark itself; the engine has no equivalence
+   quotient to report on. *)
+let compression_info (_ : t) : (float * int * string) option = None
+let compress_stats (_ : t) = (0, 0)
 
 let memo_find t key compute =
   match Hashtbl.find_opt t.memo key with
@@ -239,14 +91,14 @@ let update ~base ~dirty ~configs ~dp () =
       ({ base with dp; configs }, 0)
     else begin
       let invalidated = Hashtbl.length base.memo in
-      (of_graph ~compress_mode:base.cmode g ~dp ~configs, invalidated)
+      (of_graph g ~dp ~configs, invalidated)
     end
   end
 
 (* Fault-isolated construction: graph building walks every FIB and compiles
    every referenced ACL, any of which may be garbage on a hostile snapshot. *)
-let make_checked ?env ?compress ?compress_mode ~configs ~dp () =
-  try Ok (make ?env ?compress ?compress_mode ~configs ~dp ())
+let make_checked ?env ?compress ~configs ~dp () =
+  try Ok (make ?env ?compress ~configs ~dp ())
   with exn ->
     Error
       (Diag.fatal ~phase:Diag.Forwarding ~code:Diag.code_forwarding_failed
@@ -275,7 +127,7 @@ let seeds_of t ?hdr starts =
   let seed = Bdd.band man hdr (clean t) in
   List.filter_map (fun s -> Option.map (fun id -> (id, seed)) (start_loc t s)) starts
 
-let forward_from t ?hdr starts = forward_pass t (seeds_of t ?hdr starts)
+let forward_from t ?hdr starts = Freach.forward t.g (seeds_of t ?hdr starts)
 
 let delivered_pred ?at loc =
   match loc with
@@ -293,7 +145,7 @@ let sink_seeds t pred ?hdr () =
 let to_delivered t ?at ?hdr () =
   let hdr_b = Option.value hdr ~default:Bdd.top in
   memo_find t (Mk_delivered (at, hdr_b)) (fun () ->
-      backward_pass t (sink_seeds t (delivered_pred ?at) ?hdr ()))
+      Freach.backward t.g (sink_seeds t (delivered_pred ?at) ?hdr ()))
 
 let to_dropped t ?hdr () =
   let pred = function
@@ -303,7 +155,7 @@ let to_dropped t ?hdr () =
   in
   let hdr_b = Option.value hdr ~default:Bdd.top in
   memo_find t (Mk_dropped hdr_b) (fun () ->
-      backward_pass t (sink_seeds t pred ?hdr ()))
+      Freach.backward t.g (sink_seeds t pred ?hdr ()))
 
 let delivered_union t ?at sets =
   let man = Pktset.man (env t) in
@@ -434,12 +286,8 @@ let bidirectional t ~src ~dst ?hdr () =
   (delivered, round_trip)
 
 (* Loop detection: find a non-trivial SCC among transit locations, extract a
-   cycle, and compose edge functions around it; survivors loop forever.
-   With compression active, the quotient screens first: when it certifies
-   the concrete graph acyclic (the common case), the answer is [] without
-   touching the concrete SCC machinery; otherwise the concrete pass runs
-   unchanged, so results stay bit-identical. *)
-let find_loops_concrete t =
+   cycle, and compose edge functions around it; survivors loop forever. *)
+let find_loops t =
   let g = t.g in
   let man = Pktset.man (env t) in
   let n = Fgraph.n_locs g in
@@ -503,16 +351,6 @@ let find_loops_concrete t =
     groups;
   List.rev !results
 
-let find_loops t =
-  match forward_partition t with
-  | Some p when Fcompress.loop_screen t.g p ->
-    t.comp_passes <- t.comp_passes + 1;
-    []
-  | Some _ ->
-    t.comp_fallbacks <- t.comp_fallbacks + 1;
-    find_loops_concrete t
-  | None -> find_loops_concrete t
-
 (* --- all-pairs reachability -------------------------------------------- *)
 
 (* Rows are plain data (strings + concrete packets), not BDDs: a worker
@@ -528,7 +366,7 @@ let pairs_for_start t ?hdr s =
   | None -> []
   | Some id ->
     let hdr = Option.value hdr ~default:Bdd.top in
-    let sets = forward_pass t [ (id, Bdd.band man hdr (clean t)) ] in
+    let sets = Freach.forward t.g [ (id, Bdd.band man hdr (clean t)) ] in
     (* Union delivered sets per destination node, in location-index order
        (deterministic: index order is fixed by graph construction). *)
     let order = ref [] in
@@ -557,59 +395,55 @@ let pairs_for_start t ?hdr s =
    functions). Seeding either location injects exactly the same values into
    exactly the same successors and nothing flows back into the seed, so the
    fixpoint agrees at every other location and one forward pass answers the
-   whole group — rows differ only in the [rr_src] label. The key is the
-   concrete signature, not the partition class: soundness needs the same
-   targets, not merely same-class targets (multi-port access switches are
-   the common case). Starts that do not qualify get singleton groups. *)
+   whole group — rows differ only in the [rr_src] label. Soundness needs
+   the same targets, not merely equivalent ones (multi-port access switches
+   are the common case). Starts that do not qualify get singleton groups. *)
 let start_groups t starts =
   let indexed = List.mapi (fun i s -> (i, s)) starts in
-  match forward_partition t with
-  | None -> List.map (fun is -> [ is ]) indexed
-  | Some _ ->
-    (* bucket by the target-id list (hashable), then split each bucket by
-       structural equality of the full (target, function) signature —
-       canonical BDDs make [=] on functions exact and cheap (equal sets
-       are physically shared) *)
-    let sig_of id =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (List.map
-           (fun e -> (e.Fgraph.e_to, e.Fgraph.e_fn))
-           t.g.Fgraph.out_edges.(id))
-    in
-    let order = ref [] in
-    let buckets :
-        (int list, ((int * Fgraph.func) list * (int * start) list ref) list ref)
-        Hashtbl.t =
-      Hashtbl.create 64
-    in
-    List.iter
-      (fun (i, s) ->
-        match start_loc t s with
-        | Some id when t.g.Fgraph.in_edges.(id) = [] ->
-          let sg = sig_of id in
-          let key = List.map fst sg in
-          let bucket =
-            match Hashtbl.find_opt buckets key with
-            | Some b -> b
-            | None ->
-              let b = ref [] in
-              Hashtbl.add buckets key b;
-              b
-          in
-          (match List.assoc_opt sg !bucket with
-          | Some members -> members := (i, s) :: !members
+  (* bucket by the target-id list (hashable), then split each bucket by
+     structural equality of the full (target, function) signature —
+     canonical BDDs make [=] on functions exact and cheap (equal sets
+     are physically shared) *)
+  let sig_of id =
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (List.map
+         (fun e -> (e.Fgraph.e_to, e.Fgraph.e_fn))
+         t.g.Fgraph.out_edges.(id))
+  in
+  let order = ref [] in
+  let buckets :
+      (int list, ((int * Fgraph.func) list * (int * start) list ref) list ref)
+      Hashtbl.t =
+    Hashtbl.create 64
+  in
+  List.iter
+    (fun (i, s) ->
+      match start_loc t s with
+      | Some id when t.g.Fgraph.in_edges.(id) = [] ->
+        let sg = sig_of id in
+        let key = List.map fst sg in
+        let bucket =
+          match Hashtbl.find_opt buckets key with
+          | Some b -> b
           | None ->
-            let members = ref [ (i, s) ] in
-            bucket := (sg, members) :: !bucket;
-            order := `Group members :: !order)
-        | Some _ | None -> order := `Single (i, s) :: !order)
-      indexed;
-    List.rev_map
-      (function
-        | `Group members -> List.rev !members
-        | `Single is -> [ is ])
-      !order
+            let b = ref [] in
+            Hashtbl.add buckets key b;
+            b
+        in
+        (match List.assoc_opt sg !bucket with
+        | Some members -> members := (i, s) :: !members
+        | None ->
+          let members = ref [ (i, s) ] in
+          bucket := (sg, members) :: !bucket;
+          order := `Group members :: !order)
+      | Some _ | None -> order := `Single (i, s) :: !order)
+    indexed;
+  List.rev_map
+    (function
+      | `Group members -> List.rev !members
+      | `Single is -> [ is ])
+    !order
 
 let all_pairs t ?hdr ?starts () =
   let starts =
@@ -617,26 +451,23 @@ let all_pairs t ?hdr ?starts () =
     | Some s -> s
     | None -> default_starts t
   in
-  match forward_partition t with
-  | None -> List.concat_map (fun s -> pairs_for_start t ?hdr s) starts
-  | Some _ ->
-    (* one pass per group of interchangeable sources; non-representative
-       members reuse the representative's rows under their own label. The
-       concatenation is in original start order, bit-identical to the
-       ungrouped sweep. *)
-    let out = Array.make (List.length starts) [] in
-    List.iter
-      (function
-        | [] -> ()
-        | (i0, s0) :: rest ->
-          let rows0 = pairs_for_start t ?hdr s0 in
-          out.(i0) <- rows0;
-          List.iter
-            (fun (i, s) ->
-              out.(i) <- List.map (fun r -> { r with rr_src = s }) rows0)
-            rest)
-      (start_groups t starts);
-    List.concat (Array.to_list out)
+  (* one pass per group of interchangeable sources; non-representative
+     members reuse the representative's rows under their own label. The
+     concatenation is in original start order, bit-identical to the
+     ungrouped sweep. *)
+  let out = Array.make (List.length starts) [] in
+  List.iter
+    (function
+      | [] -> ()
+      | (i0, s0) :: rest ->
+        let rows0 = pairs_for_start t ?hdr s0 in
+        out.(i0) <- rows0;
+        List.iter
+          (fun (i, s) ->
+            out.(i) <- List.map (fun r -> { r with rr_src = s }) rows0)
+          rest)
+    (start_groups t starts);
+  List.concat (Array.to_list out)
 
 let pick_examples t ?src_prefix ?dst_prefix ~violating ~holding () =
   let e = env t in

@@ -7,13 +7,6 @@ type memo_key =
   | Mk_delivered of string option * Bdd.t
   | Mk_dropped of Bdd.t
 
-(** Quotient-compression mode (§4.2, ISSUE 10): [`On] always routes whole-
-    graph passes through the behavioral-equivalence quotient (falling back
-    per pass if the partition check fails), [`Off] never does, [`Auto]
-    enables it when the graph is large and the partition merges enough
-    locations to pay for itself. Results are bit-identical in every mode. *)
-type compress_mode = [ `Off | `On | `Auto ]
-
 type t = {
   g : Fgraph.t;
   dp : Dataplane.t;
@@ -27,39 +20,23 @@ type t = {
   mutable spec_cache : (Fgraph.spec * string) option;
       (** lazily computed manager-independent spec + fingerprint; managed by
           {!spec_with_fingerprint}, do not write. *)
-  mutable cmode : compress_mode;
-      (** use {!set_compress_mode} / {!compress_mode}, do not write *)
-  mutable comp_fwd : Fcompress.partition option option;
-      (** lazily decided forward base partition; managed internally *)
-  mutable comp_bwd : Fcompress.partition option;
-      (** lazily computed backward base partition; managed internally *)
-  mutable comp_passes : int;
-  mutable comp_fallbacks : int;
-  mutable comp_fwd_checked : bool;
-      (** the first compressed pass per direction runs the full fixpoint
-          verification; set once it holds, managed internally *)
-  mutable comp_bwd_checked : bool;
 }
 
 (** A flow start location: [(node, Some iface)] for packets entering at an
     interface, [(node, None)] for packets originated by the device. *)
 type start = string * string option
 
-(** Wrap an already-built graph (fresh, empty memo). [compress_mode]
-    defaults to [`Off]. *)
+(** Wrap an already-built graph (fresh, empty memo). *)
 val of_graph :
-  ?compress_mode:compress_mode ->
   Fgraph.t ->
   dp:Dataplane.t ->
   configs:(string -> Vi.t option) ->
   t
 
-(** [compress] is the chain-contraction switch of {!Fgraph.build};
-    [compress_mode] the quotient switch above. *)
+(** [compress] is the chain-contraction switch of {!Fgraph.build}. *)
 val make :
   ?env:Pktset.t ->
   ?compress:bool ->
-  ?compress_mode:compress_mode ->
   configs:(string -> Vi.t option) ->
   dp:Dataplane.t ->
   unit ->
@@ -106,41 +83,22 @@ val update :
 val make_checked :
   ?env:Pktset.t ->
   ?compress:bool ->
-  ?compress_mode:compress_mode ->
   configs:(string -> Vi.t option) ->
   dp:Dataplane.t ->
   unit ->
   (t, Diag.t) result
 
-(** {2 Quotient compression}
+(** {2 Compatibility stubs}
 
-    All whole-graph passes — {!to_delivered}, {!to_dropped},
-    {!pairs_for_start}, {!forward_from}, {!find_loops} — route through the
-    behavioral-equivalence quotient when the mode allows it, with automatic
-    per-pass fallback to the uncompressed propagation whenever the
-    partition check fails. Answers are bit-identical either way. *)
+    The forwarding engine has no quotient; these two constants exist only
+    because the perfbench driver still reports [compress.*] counters, and
+    that driver changes only together with the benchmark itself. *)
 
-(** Switch the mode; cached memo entries stay valid (results are mode-
-    independent), only the partition decision is recomputed. *)
-val set_compress_mode : t -> compress_mode -> unit
-
-val compress_mode : t -> compress_mode
-
-(** (ratio, classes, quotient fingerprint) of the forward base partition
-    when compression is active for this query object; forces the lazy
-    decision. [None] when off or declined by the auto heuristic. *)
+(** Always [None]. *)
 val compression_info : t -> (float * int * string) option
 
-(** (compressed passes run, fallbacks to the uncompressed pass). *)
+(** Always [(0, 0)]. *)
 val compress_stats : t -> int * int
-
-(** [refit_partitions ~base ~dirty t] seeds [t]'s lazy partitions by
-    refitting [base]'s onto [t]'s graph ({!Fcompress.refit}): locations
-    owned by nodes outside [dirty] keep their base class as the starting
-    key. Sound only when [t]'s graph was produced by {!Fgraph.patch}
-    against [base]'s graph with the same [dirty] set. No-op when [t] has
-    compression off; records [base]'s negative auto decision on [t]. *)
-val refit_partitions : base:t -> dirty:string list -> t -> unit
 
 (** Group [starts] whose locations are interchangeable sources — in-edge-
     free with identical concrete out-edges (same targets, equal edge
@@ -148,7 +106,7 @@ val refit_partitions : base:t -> dirty:string list -> t -> unit
     occurrence order. One forward pass answers a whole group: the fixpoint
     from either seed agrees everywhere beyond the seeds, so rows differ
     only in the source label (multi-port access switches are the common
-    case). Singleton groups when compression is inactive. {!all_pairs}
+    case); starts that do not qualify get singleton groups. {!all_pairs}
     runs one pass per group; {!Fpar.all_pairs} makes each group one
     parallel task. *)
 val start_groups : t -> start list -> (int * start) list list
@@ -201,11 +159,11 @@ type reach_row = {
     out in location-index order (deterministic). *)
 val pairs_for_start : t -> ?hdr:Bdd.t -> start -> reach_row list
 
-(** [all_pairs t ()] concatenates {!pairs_for_start} over [starts]
-    (default {!default_starts}), in start order. With compression active
-    it runs one pass per {!start_groups} group and relabels the
-    representative's rows for the other members — the result is
-    bit-identical to the per-start sweep. *)
+(** [all_pairs t ()] is the concatenation of {!pairs_for_start} over
+    [starts] (default {!default_starts}), in start order. It runs one pass
+    per {!start_groups} group and relabels the representative's rows for
+    the other members — the result is bit-identical to the per-start
+    sweep. *)
 val all_pairs : t -> ?hdr:Bdd.t -> ?starts:start list -> unit -> reach_row list
 
 (** Waypoint query (§4.2.3): packets from [src] delivered at [dst_node]

@@ -751,11 +751,10 @@ let paired_dc ~name ~spines ~leaves () =
    resolution makes it the forwarder — plus [members - 1] hot standbys
    whose configs are stamped from the same template, sharing the slot's
    uplink addressing (same IP on the shared per-(slot, spine) subnet).
-   Standbys are therefore *behaviorally identical*, which is exactly the
-   redundancy the quotient compression of Fcompress collapses into one
-   class per slot; the active's [ports] identically-configured access
-   interfaces (the 48-port ToR picture) are interchangeable sources that
-   all-pairs collapses to one pass per device via {!Fquery.start_groups}.
+   Standbys are therefore *behaviorally identical*; the active's [ports]
+   identically-configured access interfaces (the 48-port ToR picture) are
+   interchangeable sources that all-pairs collapses to one pass per device
+   via {!Fquery.start_groups}.
    Static routing end to end: spines route each access subnet at the
    shared uplink IP, ToRs default to every spine. *)
 let clos_ha ?(ports = 1) ~name ~spines ~slots ~members () =
@@ -903,9 +902,8 @@ let profiles =
         (fun f ->
           clos3 ~name:"net11" ~pods:(sc f 4) ~pod_spines:2 ~pod_leaves:(sc f 16)
             ~superspines:(sc f 2) ()) };
-    (* Scale-sweep profiles (ISSUE 10): fat leaf tiers behind a small fixed
-       spine count — the shape where behavioral-equivalence compression pays
-       most. NET12's leaf tier is 8-way HA ToR groups (one active + seven
+    (* Scale-sweep profiles: fat leaf tiers behind a small fixed spine
+       count — the shape where interchangeable-source grouping pays most. NET12's leaf tier is 8-way HA ToR groups (one active + seven
        template-stamped standbys per slot, four access ports each, see
        [clos_ha]); it reaches ~500 devices at scale 4 and ~1000 at scale 8.
        NET13 is a 3-tier fabric (fat pods, shared superspines). *)

@@ -47,8 +47,8 @@ val paired_dc : name:string -> spines:int -> leaves:int -> unit -> network
     identically-configured access interfaces (default 1); the standbys are
     configuration-identical clones of the active sharing its addressing
     (VRRP/MLAG style), with deterministic first-owner gateway resolution
-    electing the active, so behavioral-equivalence compression can merge
-    them and all-pairs can share one pass across a device's access ports.
+    electing the active, so all-pairs can share one pass across a device's
+    access ports.
     Static routing throughout. *)
 val clos_ha :
   ?ports:int ->
@@ -61,7 +61,7 @@ val fig1b : unit -> network
 
     NET1..NET11 mirror the paper's Table 1; NET12/NET13 are scale-sweep
     fabrics. NET12 is the HA ToR-group clos ([clos_ha]) reaching ~500
-    devices at scale 4 and ~1000 at scale 8 (the quotient-compression
+    devices at scale 4 and ~1000 at scale 8 (the grouping
     benchmark shape); NET13 is the 3-tier variant. [scale] multiplies
     device counts (1.0 = the default laptop-friendly sizes; larger values
     approach the paper's). *)

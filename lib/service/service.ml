@@ -49,7 +49,6 @@ type t = {
   v_domains : int;
   v_auto : bool;
   v_max_snapshots : int option;  (* LRU store capacity; None = unbounded *)
-  v_compress : Fquery.compress_mode;  (* forwarding engines' quotient mode *)
   mutable v_requests : int;
   mutable v_errors : int;
   mutable v_computed : int;
@@ -66,7 +65,7 @@ type t = {
 
 let test_delay = ref 0.
 
-let create ?domains ?(auto = true) ?max_snapshots ?(compress = `Auto) () =
+let create ?domains ?(auto = true) ?max_snapshots () =
   let domains =
     match domains with
     | Some d -> max 1 d
@@ -76,7 +75,7 @@ let create ?domains ?(auto = true) ?max_snapshots ?(compress = `Auto) () =
   { v_mutex = Mutex.create (); v_store = Hashtbl.create 8;
     v_inflight = Hashtbl.create 8; v_pool = pool; v_domains = domains;
     v_auto = auto; v_max_snapshots = Option.map (max 1) max_snapshots;
-    v_compress = compress; v_requests = 0; v_errors = 0; v_computed = 0;
+    v_requests = 0; v_errors = 0; v_computed = 0;
     v_coalesced = 0; v_dedup_hits = 0; v_evictions = 0; v_clock = 0;
     v_shutdowns_run = 0;
     v_stopping = Atomic.make false; v_finalized = Atomic.make false;
@@ -205,8 +204,7 @@ let load_session ?(warm = true) t ?(diags = []) files =
   | None ->
     let snap = Batfish.Snapshot.of_texts ~diags files in
     let bf =
-      Batfish.init ~options:(session_options t) ~auto_domains:t.v_auto
-        ~compress:t.v_compress snap
+      Batfish.init ~options:(session_options t) ~auto_domains:t.v_auto snap
     in
     let s, fresh = register t fp bf in
     let warmed =

@@ -45,13 +45,11 @@ type stats = {
     bound evicts the snapshot whose last store lookup (load, query,
     update) is oldest — in-flight requests against an evicted session
     still complete; re-loading it just pays the parse again. Unbounded by
-    default. [compress] (default [`Auto]) is the quotient-compression
-    mode served sessions build their forwarding engine with. *)
+    default. *)
 val create :
   ?domains:int ->
   ?auto:bool ->
   ?max_snapshots:int ->
-  ?compress:Fquery.compress_mode ->
   unit ->
   t
 

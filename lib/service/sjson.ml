@@ -77,6 +77,10 @@ let to_string v =
 
 exception Fail of int * string
 
+(* Protocol requests nest at most three deep; the cap leaves ample room and
+   bounds the parser's recursion on any input. *)
+let max_depth = 128
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -175,7 +179,15 @@ let parse s =
       | Some f -> Float f
       | None -> fail (Printf.sprintf "bad number '%s'" tok))
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects enclosing the value; opening one
+     more past [max_depth] fails, so a hostile line cannot drive the
+     recursion (stack and heap) in proportion to its length. *)
+  let enter depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -185,7 +197,7 @@ let parse s =
     | Some 'n' -> literal "null" Null
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some '[' ->
-      advance ();
+      enter depth;
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
@@ -193,7 +205,7 @@ let parse s =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' -> advance (); items (v :: acc)
@@ -203,7 +215,7 @@ let parse s =
         Arr (items [])
       end
     | Some '{' ->
-      advance ();
+      enter depth;
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
@@ -215,7 +227,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let rec fields acc =
@@ -231,7 +243,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -12,8 +12,13 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(** Deepest array/object nesting {!parse} accepts (128). *)
+val max_depth : int
+
 (** Parse one complete JSON value; trailing non-whitespace is an error.
-    [Error msg] carries the byte offset of the failure. *)
+    [Error msg] carries the byte offset of the failure. Arrays and objects
+    nested more than {!max_depth} deep are an error, so parsing time and
+    memory stay linear in the input whatever its shape. *)
 val parse : string -> (t, string) result
 
 (** Compact (single-line) rendering; strings are escaped per RFC 8259.

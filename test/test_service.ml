@@ -56,6 +56,27 @@ let sjson_parse_errors () =
       | Ok _ -> Alcotest.failf "expected parse error for %S" s)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 trailing"; "{\"a\" 1}" ]
 
+(* [depth] nested arrays around a scalar: well-formed JSON. *)
+let nested depth = String.make depth '[' ^ "0" ^ String.make depth ']'
+
+let sjson_depth_cap () =
+  (match Sjson.parse (nested Sjson.max_depth) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "nesting at the cap rejected: %s" e);
+  (match Sjson.parse (nested (Sjson.max_depth + 1)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "nesting past the cap accepted");
+  (match Sjson.parse ("{\"a\":" ^ nested Sjson.max_depth ^ "}") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "object nesting past the cap accepted");
+  (* a 100k-deep array fails at the cap, not after walking all of it *)
+  let t0 = Unix.gettimeofday () in
+  (match Sjson.parse (nested 100_000) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "100k-deep array accepted");
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 0.5 then Alcotest.failf "100k-deep array took %.2f s to reject" dt
+
 (* --- byte-identity of the direct answer encoder ------------------------- *)
 
 let qtest ?(count = 300) name arb prop =
@@ -476,6 +497,19 @@ let service_shutdown_mid_request () =
   ignore socket;
   check Alcotest.int "pool shut down exactly once" 1 stats.Service.st_shutdowns_run
 
+let service_deep_nesting_keeps_connection () =
+  let _, stats =
+    with_server ~domains:1 (fun _t socket ->
+        let c = connect socket in
+        let r = rpc c (nested 100_000) in
+        check Alcotest.bool "deep line answered ok:false" false (resp_ok r);
+        check Alcotest.bool "same connection still served" true
+          (resp_ok (rpc c (request ~id:1 "ping")));
+        let fd, _, _ = c in
+        Unix.close fd)
+  in
+  check Alcotest.int "one protocol error" 1 stats.Service.st_errors
+
 let service_protocol_shutdown () =
   let _, stats =
     with_server (fun _t socket ->
@@ -565,6 +599,8 @@ let suites =
       [ Alcotest.test_case "value round-trip through to_string/parse" `Quick sjson_roundtrip;
         Alcotest.test_case "escapes, numbers, whitespace" `Quick sjson_parse_forms;
         Alcotest.test_case "malformed inputs are parse errors" `Quick sjson_parse_errors;
+        Alcotest.test_case "nesting past the depth cap is a parse error" `Quick
+          sjson_depth_cap;
         sjson_escape_matches_per_char; fragment_matches_tree ] );
     ( "service",
       [ Alcotest.test_case "ping echoes id" `Quick service_ping_envelope;
@@ -583,6 +619,8 @@ let suites =
           service_shutdown_mid_request;
         Alcotest.test_case "protocol shutdown stops the daemon" `Quick
           service_protocol_shutdown;
+        Alcotest.test_case "over-deep request line keeps the connection" `Quick
+          service_deep_nesting_keeps_connection;
         Alcotest.test_case "response line = concatenated parts" `Quick
           service_line_equals_parts ] );
     ( "service_pool",
